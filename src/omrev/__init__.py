@@ -50,7 +50,6 @@ from .reversal import (
 from .tutte import (
     EVAL_POINTS,
     TuttePolynomial,
-    evaluate,
     evaluations,
     rank,
     tutte_polynomial,

@@ -16,9 +16,19 @@ and every order.
 The active partition splits the ground set by threshold unions of positive
 supports; flipping whole parts generates the activity classes, which tile
 the cube with one minimal reorientation in each class.
+
+Whole-cube questions are views over one memoized kernel, _cube_minima: for
+each stored set X it visits only the words where X is positive (B | X- and
+B | X+ over subsets B of the complement of supp(X)) and ORs the bit of
+min supp(X) into that word's circuit or cocircuit entry.  Entry bits are
+the (dual-)active elements, a zero entry means no positive set of that
+kind, and A & entry == 0 means A is minimal for that kind.  One-word
+queries scan the stored sets at their word and never build the arrays.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .core import InvalidOrientedMatroid, _check_reorientation, _elements_of
 from .tutte import TuttePolynomial
@@ -51,9 +61,35 @@ def _min_bit(supp_mask, positions):
     return 1 << best
 
 
-def _signed_data(triples, positions):
-    """(supp, pos, neg, min-bit) per stored set, for one fixed order."""
-    return [(s, p, q, _min_bit(s, positions)) for s, p, q in triples]
+def _cube_minima(M, order=None):
+    """(circuit minima, cocircuit minima): one array entry per word A.
+
+    An entry is the OR of the order-minimum bits of the stored sets of that
+    kind that are positive at A.  Memoized on M; equal orders share one
+    entry whatever their sequence type.
+    """
+    positions = _positions(M.n, order)
+    key = ("cube", positions if positions is None else tuple(positions))
+    hit = M._cache.get(key)
+    if hit is not None:
+        return hit
+    full = M.ground_mask
+    tables = []
+    for data in (M.circuit_data, M.cocircuit_data):
+        table = array("L", [0]) * (1 << M.n)
+        for supp, pos, neg in data:
+            mb = _min_bit(supp, positions)
+            comp = full & ~supp
+            B = comp
+            while True:
+                table[B | neg] |= mb
+                table[B | pos] |= mb
+                if B == 0:
+                    break
+                B = (B - 1) & comp
+        tables.append(table)
+    hit = M._cache[key] = tuple(tables)
+    return hit
 
 
 class ActivityData:
@@ -88,27 +124,19 @@ class ActivityData:
         )
 
 
-def _active_masks(M, A, positions):
-    """(circuit-side minima mask, cocircuit-side minima mask) at A."""
-    act = 0
-    for supp, pos, neg in M.circuit_data:
-        inter = A & supp
-        if inter == neg or inter == pos:
-            act |= _min_bit(supp, positions)
-    dact = 0
-    for supp, pos, neg in M.cocircuit_data:
-        inter = A & supp
-        if inter == neg or inter == pos:
-            dact |= _min_bit(supp, positions)
-    return act, dact
-
-
 def activities(M, A: int, order=None) -> ActivityData:
     """Active and dual-active elements of -_A M under the given order."""
     _check_reorientation(M, A)
     positions = _positions(M.n, order)
-    act, dact = _active_masks(M, A, positions)
-    return ActivityData(_elements_of(act), _elements_of(dact))
+    minima = []
+    for data in (M.circuit_data, M.cocircuit_data):
+        mask = 0
+        for supp, pos, neg in data:
+            inter = A & supp
+            if inter == neg or inter == pos:
+                mask |= _min_bit(supp, positions)
+        minima.append(_elements_of(mask))
+    return ActivityData(*minima)
 
 
 def is_minimal(M, A: int, mode: str = "both", order=None) -> bool:
@@ -143,37 +171,15 @@ def minimal_counts(M, order=None):
     These equal the Tutte evaluations t(1,1), t(1,2), t(2,1), t(1,0),
     t(0,1) for every oriented matroid and every ground order.
     """
-    positions = _positions(M.n, order)
-    circ = _signed_data(M.circuit_data, positions)
-    cocirc = _signed_data(M.cocircuit_data, positions)
     c_both = c_co = c_ci = c_ac = c_tc = 0
-    for A in range(1 << M.n):
-        circ_hit = has_pos_circ = False
-        for supp, pos, neg, mb in circ:
-            inter = A & supp
-            if inter == neg or inter == pos:
-                has_pos_circ = True
-                if A & mb:
-                    circ_hit = True
-                    break
-        coc_hit = has_pos_cocirc = False
-        for supp, pos, neg, mb in cocirc:
-            inter = A & supp
-            if inter == neg or inter == pos:
-                has_pos_cocirc = True
-                if A & mb:
-                    coc_hit = True
-                    break
-        if not circ_hit and not coc_hit:
-            c_both += 1
-        if not coc_hit:
-            c_co += 1
-        if not circ_hit:
-            c_ci += 1
-        if not has_pos_circ and not coc_hit:
-            c_ac += 1
-        if not has_pos_cocirc and not circ_hit:
-            c_tc += 1
+    for A, act, dact in zip(range(1 << M.n), *_cube_minima(M, order)):
+        circ_min = not A & act
+        coc_min = not A & dact
+        c_both += circ_min and coc_min
+        c_co += coc_min
+        c_ci += circ_min
+        c_ac += coc_min and not act
+        c_tc += circ_min and not dact
     return (c_both, c_co, c_ci, c_ac, c_tc)
 
 
@@ -397,11 +403,9 @@ def tutte_via_activities(M, order=None) -> TuttePolynomial:
     a non-integral division or an out-of-range activity means the input is
     not a valid oriented matroid and raises InvalidOrientedMatroid.
     """
-    positions = _positions(M.n, order)
     r, nul = M.rank, M.n - M.rank
     counts = [[0] * (nul + 1) for _ in range(r + 1)]
-    for A in range(1 << M.n):
-        act, dact = _active_masks(M, A, positions)
+    for A, act, dact in zip(range(1 << M.n), *_cube_minima(M, order)):
         o = act.bit_count()
         o_star = dact.bit_count()
         if o_star > r or o > nul:
@@ -432,25 +436,10 @@ def activity_report(M, order=None):
     """
     if M.n > 12:
         raise ValueError("activity_report is limited to n <= 12, got n=%d" % M.n)
-    positions = _positions(M.n, order)
-    circ = _signed_data(M.circuit_data, positions)
-    cocirc = _signed_data(M.cocircuit_data, positions)
     records = []
-    for A in range(1 << M.n):
-        act = dact = 0
-        circ_hit = coc_hit = False
-        for supp, pos, neg, mb in circ:
-            inter = A & supp
-            if inter == neg or inter == pos:
-                act |= mb
-                if A & mb:
-                    circ_hit = True
-        for supp, pos, neg, mb in cocirc:
-            inter = A & supp
-            if inter == neg or inter == pos:
-                dact |= mb
-                if A & mb:
-                    coc_hit = True
+    for A, act, dact in zip(range(1 << M.n), *_cube_minima(M, order)):
+        circ_hit = A & act
+        coc_hit = A & dact
         records.append(
             {
                 "A": A,

@@ -23,7 +23,7 @@ from .activity import (
     is_minimal,
     minimal_counts,
 )
-from .core import OrientedMatroid, load_instance_file
+from .core import OrientedMatroid, build_uniform, load_instance_file
 from .regularity import classify, is_binary
 from .reversal import (
     SETTINGS,
@@ -376,7 +376,7 @@ def _survey_rows(family, max_n):
         if not 3 <= max_n <= 16:
             raise ValueError("u2k survey needs 3 <= max-n <= 16, got %r" % (max_n,))
         builds = [
-            (lambda k=k: _catalog.build_uniform(2, k, name="U(2,%d)" % k))
+            (lambda k=k: build_uniform(2, k, name="U(2,%d)" % k))
             for k in range(3, max_n + 1)
         ]
     elif family == "catalog-nonregular":
@@ -566,16 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="bases vs class-count ratios")
     p.add_argument("--family", choices=("u2k", "catalog-nonregular"), default="catalog-nonregular")
-    p.add_argument("--scope", choices=("catalog-nonregular",), default=None,
-                   help="alias: --scope catalog-nonregular")
     p.add_argument("--max-n", type=int, default=8, dest="max_n",
                    help="largest k for the u2k family (3..16)")
     p.add_argument("--out", choices=("csv", "json", "table"), default="table")
-    p.set_defaults(
-        func=lambda a: cmd_survey(
-            "catalog-nonregular" if a.scope else a.family, a.max_n, a.out
-        )
-    )
+    p.set_defaults(func=lambda a: cmd_survey(a.family, a.max_n, a.out))
 
     p = sub.add_parser("catalog", help="catalog inspection")
     csub = p.add_subparsers(dest="catalog_command", required=True, parser_class=_Parser)

@@ -316,14 +316,16 @@ def _circuits_of_matrix(rows, n):
             pivots, red = _row_reduce(sub, size)
             if len(pivots) == size:
                 continue
-            assert len(pivots) == size - 1, "minimal dependent set, kernel must be a line"
+            if len(pivots) != size - 1:
+                raise InvalidOrientedMatroid("kernel of circuit columns %r is not a line" % (combo,))
             free = next(c for c in range(size) if c not in pivots)
             v = [Fraction(0)] * size
             v[free] = Fraction(1)
             for i, p in enumerate(pivots):
                 v[p] = -red[i][free]
             w = _primitive_int_vector(v)
-            assert all(w), "kernel vector of a circuit has full support"
+            if not all(w):
+                raise InvalidOrientedMatroid("kernel of circuit columns %r lacks full support" % (combo,))
             pos = _mask_of(combo[i] for i in range(size) if w[i] > 0)
             neg = _mask_of(combo[i] for i in range(size) if w[i] < 0)
             circuits.append(SignedSet(pos, neg))

@@ -2,17 +2,21 @@
 
 Two reorientations A and B are in the same class when one reaches the other
 by repeatedly reversing the support of a circuit or cocircuit that is
-positive there.  The partition is built exhaustively: a disjoint-set forest
-over all admitted n-bit words, united along every generator pair.  For a
-stored set X with parts (X+, X-) the reorientations where X is positive are
-exactly B | X- and B | X+ over subsets B of the complement of the support,
-and those two words are each other's flip partners, so each stored set
-contributes one union per complement subset.
+positive there.  Two partitions are swept, circuit/all and cocircuit/all:
+a disjoint-set forest over all n-bit words, united along every generator
+pair.  For a stored set X with parts (X+, X-) the reorientations where X
+is positive are exactly B | X- and B | X+ over subsets B of the complement
+of the support, and those two words are each other's flip partners, so
+each stored set contributes one union per complement subset.  Forest
+pointers always go to a smaller word, so each root is its class minimum.
 
-Restrictions cut the admitted cube down to acyclic reorientations (no
-positive circuit) or totally cyclic ones (no positive cocircuit); for a
-valid oriented matroid a permitted reversal never leaves the admitted set,
-and any escape raises InvalidOrientedMatroid.
+both/all is the join of the two swept partitions.  A restricted setting is
+its mode's all partition cut down to the admitted words: acyclic (no
+positive circuit) or totally cyclic (no positive cocircuit).  In a valid
+oriented matroid no reversal moves the acyclic/cyclic split, so every
+class is wholly admitted or wholly outside; a mixed class means a
+permitted reversal leaves the admitted set and raises
+InvalidOrientedMatroid.
 
 The class counts in the five standard settings are bounded below by, and
 for regular instances equal to, the Tutte evaluations t(1,1), t(1,2),
@@ -21,7 +25,7 @@ t(2,1), t(1,0), t(0,1).
 
 from __future__ import annotations
 
-from .activity import is_minimal
+from .activity import _cube_minima
 from .core import InvalidOrientedMatroid, _check_reorientation
 
 MODES = ("circuit", "cocircuit", "both")
@@ -47,22 +51,6 @@ def _check_setting(mode, restriction):
         raise ValueError("restriction='acyclic' requires mode 'cocircuit' or 'both'")
     if restriction == "totally_cyclic" and mode == "cocircuit":
         raise ValueError("restriction='totally_cyclic' requires mode 'circuit' or 'both'")
-
-
-def _admitted_flags(M, restriction):
-    """Admitted-membership bytearray over all words, or None for 'all'."""
-    if restriction == "all":
-        return None
-    data = M.circuit_data if restriction == "acyclic" else M.cocircuit_data
-    flags = bytearray(1 << M.n)
-    for A in range(1 << M.n):
-        for supp, pos, neg in data:
-            inter = A & supp
-            if inter == neg or inter == pos:
-                break
-        else:
-            flags[A] = 1
-    return flags
 
 
 class ReversalPartition:
@@ -117,6 +105,70 @@ class ReversalPartition:
         return out
 
 
+def _union_find(parent):
+    """union(a, b) with path halving, on a forest whose pointers go to smaller words."""
+
+    def union(a, b):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+
+    return union
+
+
+def _classes(parent):
+    """(rep_of, class count) of a finished forest, reusing its list.
+
+    Parents are smaller words, so an ascending pass has already resolved
+    each parent's representative when it reaches the child.
+    """
+    count = 0
+    for A, p in enumerate(parent):
+        if p == A:
+            count += 1
+        else:
+            parent[A] = parent[p]
+    return parent, count
+
+
+def _sweep(M, generators):
+    """Union every generator pair over all words."""
+    parent = list(range(1 << M.n))
+    union = _union_find(parent)
+    full = M.ground_mask
+    for supp, pos, neg in generators:
+        comp = full & ~supp
+        B = comp
+        while True:
+            union(B | neg, B | pos)
+            if B == 0:
+                break
+            B = (B - 1) & comp
+    return _classes(parent)
+
+
+def _restrict(M, rep_of, restriction):
+    """(rep_of, class count) cut down to the admitted words."""
+    outside = _cube_minima(M)[0 if restriction == "acyclic" else 1]
+    out = [-1] * len(rep_of)
+    count = 0
+    for A, rep in enumerate(rep_of):
+        if (outside[A] == 0) != (outside[rep] == 0):
+            raise InvalidOrientedMatroid(
+                "reversal class of %d mixes %s and other words of %s: a reversal "
+                "leaves the admitted set" % (rep, restriction, M.name)
+            )
+        if outside[A] == 0:
+            out[A] = rep
+            count += rep == A
+    return out, count
+
+
 def reversal_classes(M, mode: str = "both", restriction: str = "all") -> ReversalPartition:
     """Build the reversal-class partition in one setting (memoized on M)."""
     _check_setting(mode, restriction)
@@ -125,67 +177,16 @@ def reversal_classes(M, mode: str = "both", restriction: str = "all") -> Reversa
     if hit is not None:
         return hit
 
-    size = 1 << M.n
-    admitted = _admitted_flags(M, restriction)
-    generators = []
-    if mode in ("circuit", "both"):
-        generators.extend(M.circuit_data)
-    if mode in ("cocircuit", "both"):
-        generators.extend(M.cocircuit_data)
-
-    parent = list(range(size))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    weight = [1] * size
-    full = M.ground_mask
-    for supp, pos, neg in generators:
-        comp = full & ~supp
-        B = comp
-        while True:
-            a = B | neg
-            b = B | pos
-            if admitted is None:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    if weight[ra] < weight[rb]:
-                        ra, rb = rb, ra
-                    parent[rb] = ra
-                    weight[ra] += weight[rb]
-            else:
-                fa, fb = admitted[a], admitted[b]
-                if fa != fb:
-                    raise InvalidOrientedMatroid(
-                        "reversal step %d <-> %d leaves the %s set of %s"
-                        % (a, b, restriction, M.name)
-                    )
-                if fa:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        if weight[ra] < weight[rb]:
-                            ra, rb = rb, ra
-                        parent[rb] = ra
-                        weight[ra] += weight[rb]
-            if B == 0:
-                break
-            B = (B - 1) & comp
-
-    rep_of = [-1] * size
-    rep_of_root = {}
-    count = 0
-    for A in range(size):
-        if admitted is not None and not admitted[A]:
-            continue
-        root = find(A)
-        rep = rep_of_root.get(root)
-        if rep is None:
-            rep_of_root[root] = rep = A  # ascending scan: first hit is the minimum
-            count += 1
-        rep_of[A] = rep
+    if restriction != "all":
+        rep_of, count = _restrict(M, reversal_classes(M, mode, "all").rep_of, restriction)
+    elif mode == "both":  # join of the two swept partitions
+        parent = list(reversal_classes(M, "circuit", "all").rep_of)
+        union = _union_find(parent)
+        for A, rep in enumerate(reversal_classes(M, "cocircuit", "all").rep_of):
+            union(A, rep)
+        rep_of, count = _classes(parent)
+    else:
+        rep_of, count = _sweep(M, M.circuit_data if mode == "circuit" else M.cocircuit_data)
 
     partition = ReversalPartition(mode, restriction, M.n, rep_of, count)
     M._cache[key] = partition
@@ -219,11 +220,12 @@ def find_minimal_pair_in_class(M, mode: str = "cocircuit", restriction: str = "a
     (mode='cocircuit', restriction='acyclic').
     """
     partition = reversal_classes(M, mode, restriction)
+    circ, cocirc = _cube_minima(M)
     first_minimal = {}
     best = None
-    for A in range(1 << M.n):
-        rep = partition.rep_of[A]
-        if rep < 0 or not is_minimal(M, A, mode):
+    for A, rep in enumerate(partition.rep_of):
+        hits = (0 if mode == "cocircuit" else circ[A]) | (0 if mode == "circuit" else cocirc[A])
+        if rep < 0 or A & hits:
             continue
         if rep in first_minimal:
             pair = (first_minimal[rep], A)

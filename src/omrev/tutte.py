@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .core import _greedy_rank, _mask_of
+from .core import InvalidOrientedMatroid, _greedy_rank, _mask_of
 
 
 def rank(M, S=None) -> int:
@@ -129,10 +129,14 @@ def tutte_polynomial(M) -> TuttePolynomial:
     nul = n - r
     cn = [[0] * (nul + 1) for _ in range(r + 1)]
     greedy = _subset_greedy(M)
+    oracle_rank = greedy[M.ground_mask].bit_count()
+    if oracle_rank != r:
+        raise InvalidOrientedMatroid(
+            "stored rank %d of %s differs from circuit rank %d" % (r, M.name, oracle_rank)
+        )
     for S in range(1 << n):
         rs = greedy[S].bit_count()
         cn[r - rs][S.bit_count() - rs] += 1
-    assert greedy[M.ground_mask].bit_count() == r, "stored rank disagrees with the oracle"
     coeffs = [[0] * (nul + 1) for _ in range(r + 1)]
     for i in range(r + 1):
         for j in range(nul + 1):
@@ -145,11 +149,6 @@ def tutte_polynomial(M) -> TuttePolynomial:
                         total += row[b] * ca * comb(b, j) * (-1) ** (b - j)
             coeffs[i][j] = total
     return TuttePolynomial(r, coeffs)
-
-
-def evaluate(T: TuttePolynomial, x: int, y: int) -> int:
-    """Exact integer evaluation of a Tutte polynomial."""
-    return T.evaluate(x, y)
 
 
 # the five evaluation points tied to reversal-class and minimality counts:

@@ -24,6 +24,13 @@ from omrev import (
 )
 from oracles import is_minimal_ref, minimal_counts_ref
 
+# small integer matrices: 2 or 3 rows of 4 columns, entries in -2..2
+SMALL_MATRICES = st.lists(
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    min_size=2,
+    max_size=3,
+)
+
 
 def _shuffled_orders(n, count, seed):
     rng = random.Random(seed)
@@ -101,13 +108,7 @@ class TestMinimalCounts:
                 assert minimal_counts(M, order) == minimal_counts_ref(M, order)
 
     @settings(max_examples=20, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.integers(-2, 2), min_size=4, max_size=4),
-            min_size=2,
-            max_size=3,
-        )
-    )
+    @given(SMALL_MATRICES)
     def test_equals_tutte_evaluations_on_random_matrices(self, rows):
         from omrev import evaluations
 
@@ -234,6 +235,17 @@ class TestActivityReport:
             "o_star": 2,
             "minimal": {"circuit": True, "cocircuit": True, "both": True},
         }
+
+    def test_matches_per_word_queries_under_orders(self):
+        for name in ("u24", "u35"):
+            M = get_instance(name)
+            for order in _shuffled_orders(M.n, 2, seed=5):
+                for record in activity_report(M, order):
+                    A = record["A"]
+                    acts = activities(M, A, order)
+                    assert (record["o"], record["o_star"]) == (acts.o, acts.o_star)
+                    for mode in ("circuit", "cocircuit", "both"):
+                        assert record["minimal"][mode] == is_minimal(M, A, mode, order)
 
     def test_size_guard(self):
         big = OrientedMatroid(13, 1, [], [])

@@ -188,10 +188,6 @@ class TestSurvey:
         assert main(["survey", "--family", "u2k", "--max-n", "2"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_scope_alias(self, capsys):
-        assert main(["survey", "--scope", "catalog-nonregular"]) == 0
-        assert "minimum ratio" in capsys.readouterr().out
-
 
 class TestCatalogList:
     def test_table(self):

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
 
 from omrev import (
     InvalidOrientedMatroid,
     OrientedMatroid,
     SignedSet,
+    build_from_matrix,
     catalog_instances,
     dual,
     find_minimal_pair_in_class,
@@ -16,9 +18,19 @@ from omrev import (
     same_class,
 )
 from omrev.reversal import MODES, RESTRICTIONS, SETTINGS, reversal_classes
-from oracles import bfs_classes
+from oracles import bfs_classes, is_minimal_ref
+from test_activity import SMALL_MATRICES
 
 ORACLE_NAMES = ("tri", "u24", "u25", "u35", "loop-plus-triangle", "path2", "loop1")
+
+# every (mode, restriction) pair reversal_classes accepts
+ACCEPTED = tuple((mode, restriction) for _, mode, restriction, _ in SETTINGS) + (
+    ("both", "acyclic"),
+    ("both", "totally_cyclic"),
+)
+
+# inconsistent lists: reversing circuit {0,1} flips acyclicity
+BAD = OrientedMatroid(2, 1, [SignedSet((0, 1), ())], [SignedSet((0,), ())])
 
 
 class TestSettings:
@@ -89,14 +101,25 @@ class TestPartition:
         assert "members" not in P.to_json_dict()["classes"][0]
 
 
+def _class_lists(M, mode, restriction):
+    P = reversal_classes(M, mode, restriction)
+    return sorted(P.members(rep) for rep, _ in P.classes())
+
+
 class TestAgainstClosureOracle:
     def test_all_settings_match_bfs(self):
         for name in ORACLE_NAMES:
             M = get_instance(name)
-            for _, mode, restriction, _ in SETTINGS:
-                P = reversal_classes(M, mode, restriction)
-                mine = sorted(P.members(rep) for rep, _ in P.classes())
+            for mode, restriction in ACCEPTED:
+                mine = _class_lists(M, mode, restriction)
                 assert mine == bfs_classes(M, mode, restriction), (name, mode, restriction)
+
+    @settings(max_examples=20, deadline=None)
+    @given(SMALL_MATRICES)
+    def test_random_matrices_match_bfs(self, rows):
+        M = build_from_matrix(rows)
+        for mode, restriction in ACCEPTED:
+            assert _class_lists(M, mode, restriction) == bfs_classes(M, mode, restriction)
 
 
 class TestSameClass:
@@ -134,10 +157,14 @@ class TestGeneratorInvariants:
                     assert X.is_positive_in(A ^ X.support_mask)
 
     def test_escape_from_admitted_set_raises(self):
-        # inconsistent lists: reversing circuit {0,1} flips acyclicity
-        bad = OrientedMatroid(2, 1, [SignedSet((0, 1), ())], [SignedSet((0,), ())])
         with pytest.raises(InvalidOrientedMatroid):
-            reversal_classes(bad, "cocircuit", "acyclic")
+            reversal_classes(BAD, "cocircuit", "acyclic")
+
+    def test_escape_raises_in_dual_and_both_settings(self):
+        with pytest.raises(InvalidOrientedMatroid):
+            reversal_classes(dual(BAD), "circuit", "totally_cyclic")
+        with pytest.raises(InvalidOrientedMatroid):
+            reversal_classes(BAD, "both", "acyclic")
 
 
 def _greedy_peel_reaches(M, start, target):
@@ -201,6 +228,20 @@ class TestMinimalPair:
         assert A != B
         assert is_minimal(M, A, "cocircuit") and is_minimal(M, B, "cocircuit")
         assert same_class(M, A, B, "cocircuit", "acyclic")
+
+    def test_matches_brute_force_pair_search(self):
+        # lexicographically first pair: the two smallest minimal members of
+        # some class, smallest over all classes
+        for name in ORACLE_NAMES:
+            M = get_instance(name)
+            for mode, restriction in ACCEPTED:
+                expected = None
+                for members in bfs_classes(M, mode, restriction):
+                    minimal = [A for A in members if is_minimal_ref(M, A, mode)]
+                    if len(minimal) > 1 and (expected is None or tuple(minimal[:2]) < expected):
+                        expected = tuple(minimal[:2])
+                got = find_minimal_pair_in_class(M, mode, restriction)
+                assert got == expected, (name, mode, restriction)
 
     def test_deterministic_across_builds(self):
         one = find_minimal_pair_in_class(get_instance("u25"))

@@ -3,14 +3,16 @@ from hypothesis import given, settings, strategies as st
 
 from omrev import (
     EVAL_POINTS,
+    InvalidOrientedMatroid,
+    OrientedMatroid,
     TuttePolynomial,
     build_from_graph,
     build_from_matrix,
     build_uniform,
     catalog_instances,
     dual,
-    evaluate,
     evaluations,
+    get_instance,
     rank,
     tutte_polynomial,
 )
@@ -114,11 +116,6 @@ class TestEvaluation:
             expected = entry.expected["tutte_evaluations"].value
             assert evaluations(tutte_polynomial(entry.build())) == expected
 
-    def test_evaluate_function(self):
-        T = tutte_polynomial(build_from_matrix(TRIANGLE))
-        assert evaluate(T, 1, 1) == 3
-        assert evaluate(T, 2, 2) == 8
-
 
 class TestValidation:
     def test_negative_coefficient_rejected(self):
@@ -136,6 +133,13 @@ class TestValidation:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             TuttePolynomial(0, [[0]])
+
+    def test_wrong_stored_rank_raises(self):
+        M = get_instance("tri")
+        for wrong in (M.rank - 1, M.rank + 1):
+            bad = OrientedMatroid(M.n, wrong, M.circuits, M.cocircuits, "tri-bad-rank")
+            with pytest.raises(InvalidOrientedMatroid):
+                tutte_polynomial(bad)
 
     def test_json_round_trip(self):
         T = tutte_polynomial(build_uniform(2, 4))
