@@ -23,17 +23,19 @@ B | X+ over subsets B of the complement of supp(X)) and ORs the bit of
 min supp(X) into that word's circuit or cocircuit entry.  Entry bits are
 the (dual-)active elements, a zero entry means no positive set of that
 kind, and A & entry == 0 means A is minimal for that kind.  One-word
-queries scan the stored sets at their word and never build the arrays.
+queries are views over its one-word counterpart, core._positive, which
+lists the stored sets of one kind that are positive at a word; they never
+build the arrays.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from .core import InvalidOrientedMatroid, _check_reorientation, _elements_of
+from .core import InvalidOrientedMatroid, _check_reorientation, _elements_of, _positive
 from .tutte import TuttePolynomial
 
-_MODES = ("circuit", "cocircuit", "both")
+MODES = ("circuit", "cocircuit", "both")
 
 
 def _positions(n, order):
@@ -53,12 +55,16 @@ def _positions(n, order):
     return pos
 
 
+def _element_key(positions):
+    """Sort key of an element under the order: its position in it."""
+    return (lambda e: e) if positions is None else positions.__getitem__
+
+
 def _min_bit(supp_mask, positions):
     """Bit of the minimum element of a support under the order."""
     if positions is None:
         return supp_mask & -supp_mask
-    best = min(_elements_of(supp_mask), key=positions.__getitem__)
-    return 1 << best
+    return 1 << min(_elements_of(supp_mask), key=positions.__getitem__)
 
 
 def _cube_minima(M, order=None):
@@ -131,10 +137,8 @@ def activities(M, A: int, order=None) -> ActivityData:
     minima = []
     for data in (M.circuit_data, M.cocircuit_data):
         mask = 0
-        for supp, pos, neg in data:
-            inter = A & supp
-            if inter == neg or inter == pos:
-                mask |= _min_bit(supp, positions)
+        for supp, _, _ in _positive(data, A):
+            mask |= _min_bit(supp, positions)
         minima.append(_elements_of(mask))
     return ActivityData(*minima)
 
@@ -146,18 +150,17 @@ def is_minimal(M, A: int, mode: str = "both", order=None) -> bool:
     cocircuits only, 'both' at both lists.
     """
     _check_reorientation(M, A)
-    if mode not in _MODES:
-        raise ValueError("mode must be one of %r, got %r" % (_MODES, mode))
+    if mode not in MODES:
+        raise ValueError("mode must be one of %r, got %r" % (MODES, mode))
     positions = _positions(M.n, order)
     kinds = []
     if mode in ("circuit", "both"):
         kinds.append(M.circuit_data)
     if mode in ("cocircuit", "both"):
         kinds.append(M.cocircuit_data)
-    for triples in kinds:
-        for supp, pos, neg in triples:
-            inter = A & supp
-            if (inter == neg or inter == pos) and (A & _min_bit(supp, positions)):
+    for data in kinds:
+        for supp, _, _ in _positive(data, A):
+            if A & _min_bit(supp, positions):
                 return False
     return True
 
@@ -190,44 +193,26 @@ def greedy_minimalize(M, A: int, order=None) -> int:
     the current set, reverse one such support: the one with the smallest
     minimum, ties broken by lexicographically smallest support (both under
     the order).  Each step is a legal reversal, so the result stays in the
-    circuit-cocircuit reversal class of A.  The step count is capped at
-    4**n; exceeding the cap means the input is not a valid oriented
-    matroid.
+    circuit-cocircuit reversal class of A.
+
+    A flip takes the reversed support's minimum out of the current set and
+    toggles only larger elements, so the set falls strictly in the
+    lexicographic ranking of words read from the order's smallest element
+    first.  The walk therefore stops within 2**n - 1 flips on any input,
+    valid oriented matroid or not.
     """
     _check_reorientation(M, A)
     positions = _positions(M.n, order)
-
-    def key_of(supp):
-        # ascending position tuple: comparing these lexicographically is
-        # "smallest minimum first, ties by lex-smallest support"
-        if positions is None:
-            return tuple(_elements_of(supp))
-        return tuple(sorted(positions[e] for e in _elements_of(supp)))
-
-    data = []
-    for supp, pos, neg in M.circuit_data + M.cocircuit_data:
-        data.append((supp, pos, neg, _min_bit(supp, positions), key_of(supp)))
+    key = _element_key(positions)
+    data = M.circuit_data + M.cocircuit_data
     B = A
-    cap = 4 ** M.n
-    steps = 0
     while True:
-        best = None
-        for supp, pos, neg, mb, key in data:
-            if not (B & mb):
-                continue
-            inter = B & supp
-            if inter == neg or inter == pos:
-                if best is None or key < best[0]:
-                    best = (key, supp)
-        if best is None:
+        candidates = [supp for supp, _, _ in _positive(data, B) if B & _min_bit(supp, positions)]
+        if not candidates:
             return B
-        B ^= best[1]
-        steps += 1
-        if steps > cap:
-            raise InvalidOrientedMatroid(
-                "greedy walk exceeded %d steps on %s; input cannot be a valid "
-                "oriented matroid" % (cap, M.name)
-            )
+        # ascending position lists: comparing these lexicographically is
+        # "smallest minimum first, ties by lex-smallest support"
+        B ^= min(candidates, key=lambda supp: sorted(map(key, _elements_of(supp))))
 
 
 class ActivePart:
@@ -269,29 +254,24 @@ class ActivePartition:
         return "ActivePartition(%r)" % (list(self.parts),)
 
 
-def _side_parts(entries, positions, side):
+def _side_parts(entries, key, side):
     """Threshold-union parts for one side.
 
-    entries: (support mask, min element) of each positive set of that kind.
+    entries: (support mask, min element) of each positive set of that kind;
+    key: the order's element key.
     F(a) = union of supports whose minimum is >= a in the order; the part
-    of leader a_i is F(a_i) minus F(a_(i+1)) over the sorted leaders.
+    of leader a_i is F(a_i) minus F(a_(i+1)) over the sorted leaders, so
+    one walk down the leaders builds every part.
     """
-    if not entries:
-        return []
-    keyfn = (lambda e: e) if positions is None else positions.__getitem__
-    leaders = sorted({m for _, m in entries}, key=keyfn)
-    union_from = {}
+    parts = []
     acc = 0
-    for a in reversed(leaders):
+    for a in sorted({m for _, m in entries}, key=key, reverse=True):
+        upper = acc
         for supp, m in entries:
             if m == a:
                 acc |= supp
-        union_from[a] = acc
-    parts = []
-    for i, a in enumerate(leaders):
-        upper = union_from[leaders[i + 1]] if i + 1 < len(leaders) else 0
-        parts.append(ActivePart(a, union_from[a] & ~upper, side))
-    return parts
+        parts.append(ActivePart(a, acc & ~upper, side))
+    return parts[::-1]
 
 
 def active_partition(M, A: int, order=None) -> ActivePartition:
@@ -304,15 +284,14 @@ def active_partition(M, A: int, order=None) -> ActivePartition:
     """
     _check_reorientation(M, A)
     positions = _positions(M.n, order)
+    key = _element_key(positions)
     sides = []
-    for triples, side in ((M.circuit_data, "circuit"), (M.cocircuit_data, "cocircuit")):
-        entries = []
-        for supp, pos, neg in triples:
-            inter = A & supp
-            if inter == neg or inter == pos:
-                mb = _min_bit(supp, positions)
-                entries.append((supp, mb.bit_length() - 1))
-        sides.append(_side_parts(entries, positions, side))
+    for data, side in ((M.circuit_data, "circuit"), (M.cocircuit_data, "cocircuit")):
+        entries = [
+            (supp, _min_bit(supp, positions).bit_length() - 1)
+            for supp, _, _ in _positive(data, A)
+        ]
+        sides.append(_side_parts(entries, key, side))
     parts = sides[0] + sides[1]
 
     covered = 0
@@ -335,8 +314,7 @@ def active_partition(M, A: int, order=None) -> ActivePartition:
         raise InvalidOrientedMatroid(
             "active partition misses elements at reorientation %d of %s" % (A, M.name)
         )
-    keyfn = (lambda e: e) if positions is None else positions.__getitem__
-    return ActivePartition(sorted(parts, key=lambda p: keyfn(p.leader)))
+    return ActivePartition(sorted(parts, key=lambda p: key(p.leader)))
 
 
 class ActivityClasses:

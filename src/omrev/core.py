@@ -35,6 +35,8 @@ class InvalidOrientedMatroid(ValueError):
 def _mask_of(elements):
     m = 0
     for e in elements:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("elements must be nonnegative ints, got %r" % (e,))
         m |= 1 << e
     return m
 
@@ -540,18 +542,22 @@ def positive_sets(M: OrientedMatroid, A: int, kind: str):
     return [X for X in sets if X.is_positive_in(A)]
 
 
+def _positive(data, A):
+    """The (supp, pos, neg) triples of one stored kind that are positive at A.
+
+    The mask-triple form of SignedSet.is_positive_in: A & supp is X- or X+.
+    The one-word queries over mask triples read their positive sets here.
+    """
+    return [t for t in data if (inter := A & t[0]) == t[2] or inter == t[1]]
+
+
 def _part_masks(M, A):
     """(acyclic part, cyclic part) of -_A M as masks, without the tiling check."""
-    cyc = 0
-    for supp, pos, neg in M.circuit_data:
-        inter = A & supp
-        if inter == neg or inter == pos:
-            cyc |= supp
-    acyc = 0
-    for supp, pos, neg in M.cocircuit_data:
-        inter = A & supp
-        if inter == neg or inter == pos:
-            acyc |= supp
+    acyc = cyc = 0
+    for supp, _, _ in _positive(M.cocircuit_data, A):
+        acyc |= supp
+    for supp, _, _ in _positive(M.circuit_data, A):
+        cyc |= supp
     return acyc, cyc
 
 
@@ -576,15 +582,20 @@ def part_decomposition(M: OrientedMatroid, A: int):
 # instance files
 
 
+# the body of each source kind an instance file may hold
+_SOURCE_SHAPES = {
+    "matrix": "[[int, ...], ...]",
+    "graph": '{"vertices": int, "edges": [[tail, head], ...]}',
+    "uniform": '{"r": int, "n": int}',
+    "signed": '{"circuits": [{"pos": [...], "neg": [...]}, ...], "cocircuits": [...]}',
+}
+
+
 def instance_from_dict(data) -> OrientedMatroid:
     """Build an instance from a parsed mapping {"name": ..., "source": {...}}.
 
-    The source holds exactly one of:
-      "matrix"  __ [[int, ...], ...]
-      "graph"   __ {"vertices": int, "edges": [[tail, head], ...]}
-      "uniform" __ {"r": int, "n": int}
-      "signed"  __ {"circuits": [{"pos": [...], "neg": [...]}, ...],
-                    "cocircuits": [...]}
+    The source holds exactly one kind of _SOURCE_SHAPES, with a body of
+    that kind's shape; a body of another shape raises ValueError.
     """
     if not isinstance(data, dict) or "source" not in data:
         raise ValueError("instance data must be a mapping with a 'source' entry")
@@ -593,17 +604,42 @@ def instance_from_dict(data) -> OrientedMatroid:
     if not isinstance(source, dict) or len(source) != 1:
         raise ValueError("source must hold exactly one of matrix/graph/uniform/signed")
     (kind, body), = source.items()
+    if kind not in _SOURCE_SHAPES:
+        raise ValueError("unknown source kind %r" % (kind,))
+    if not _body_fits(kind, body):
+        raise ValueError("%s source must have the shape %s" % (kind, _SOURCE_SHAPES[kind]))
     if kind == "matrix":
         return build_from_matrix(body, name=name)
     if kind == "graph":
         return build_from_graph(body["edges"], vertices=body.get("vertices"), name=name)
     if kind == "uniform":
         return build_uniform(body["r"], body["n"], name=name)
-    if kind == "signed":
-        return build_from_signed_sets(
-            body.get("circuits", ()), body.get("cocircuits", ()), name=name
-        )
-    raise ValueError("unknown source kind %r" % (kind,))
+    return build_from_signed_sets(
+        body.get("circuits", ()), body.get("cocircuits", ()), name=name
+    )
+
+
+def _is_list_of(value, item_type):
+    return isinstance(value, list) and all(isinstance(x, item_type) for x in value)
+
+
+def _body_fits(kind, body):
+    """True iff a source body has the containers its builder reads.
+
+    Element and entry values are checked by the builders themselves.
+    """
+    if kind == "matrix":
+        return _is_list_of(body, list)
+    if not isinstance(body, dict):
+        return False
+    if kind == "graph":
+        return _is_list_of(body.get("edges"), list) and isinstance(body.get("vertices", 0), int)
+    if kind == "uniform":
+        return "r" in body and "n" in body
+    lists = [body.get("circuits", []), body.get("cocircuits", [])]
+    return all(_is_list_of(sets, dict) for sets in lists) and all(
+        isinstance(X.get(part, []), list) for sets in lists for X in sets for part in ("pos", "neg")
+    )
 
 
 def load_instance_file(path) -> OrientedMatroid:

@@ -25,10 +25,9 @@ t(2,1), t(1,0), t(0,1).
 
 from __future__ import annotations
 
-from .activity import _cube_minima
+from .activity import MODES, _cube_minima
 from .core import InvalidOrientedMatroid, _check_reorientation
 
-MODES = ("circuit", "cocircuit", "both")
 RESTRICTIONS = ("all", "acyclic", "totally_cyclic")
 
 # (label, mode, restriction, Tutte evaluation point), in the fixed order

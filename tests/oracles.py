@@ -145,3 +145,26 @@ def minimal_counts_ref(M, order=None):
         counts[3] += acyclic and d_min
         counts[4] += tot_cyc and c_min
     return tuple(counts)
+
+
+def greedy_minimalize_ref(M, A, order=None):
+    """The greedy walk by its stated rule, one flip per pass over all sets.
+
+    Among the positive sets whose order-minimum lies in the current word,
+    flip the one whose support, as a sorted list of order positions, is
+    smallest.  Fails if the walk makes 2^n flips, more than the bound the
+    walk is documented to keep on any input.
+    """
+    rank = {e: k for k, e in enumerate(range(M.n) if order is None else order)}
+    B = A
+    for _ in range(1 << M.n):
+        best = None
+        for X in M.circuits + M.cocircuits:
+            if positive_in(X, B) and (B >> minimum_under(X.support, order)) & 1:
+                key = sorted(rank[e] for e in X.support)
+                if best is None or key < best[0]:
+                    best = (key, X.support_mask)
+        if best is None:
+            return B
+        B ^= best[1]
+    raise AssertionError("greedy walk made 2^%d flips" % M.n)

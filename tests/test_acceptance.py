@@ -143,7 +143,7 @@ def test_criterion_5_greedy_reaches_minimal(announce):
         if M.n > 12:
             continue
         for A in range(1 << M.n):
-            B = greedy_minimalize(M, A)  # raises if the step cap is exceeded
+            B = greedy_minimalize(M, A)  # stops within 2^n - 1 flips on any input
             if not is_minimal(M, B, "both") or not same_class(M, A, B, "both", "all"):
                 ok, detail = False, "%s A=%d -> B=%d" % (name, A, B)
                 break

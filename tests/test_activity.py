@@ -7,12 +7,14 @@ from omrev import (
     ActivityData,
     InvalidOrientedMatroid,
     OrientedMatroid,
+    SignedSet,
     activities,
     active_partition,
     activity_classes,
     activity_report,
     build_from_matrix,
     catalog_instances,
+    dual,
     get_instance,
     greedy_minimalize,
     is_minimal,
@@ -22,7 +24,7 @@ from omrev import (
     tutte_polynomial,
     tutte_via_activities,
 )
-from oracles import is_minimal_ref, minimal_counts_ref
+from oracles import greedy_minimalize_ref, is_minimal_ref, minimal_counts_ref
 
 # small integer matrices: 2 or 3 rows of 4 columns, entries in -2..2
 SMALL_MATRICES = st.lists(
@@ -39,6 +41,15 @@ def _shuffled_orders(n, count, seed):
         order = list(range(n))
         rng.shuffle(order)
         out.append(tuple(order))
+    return out
+
+
+def _catalog_and_duals(max_n=10):
+    """Every catalog instance and its dual with at most max_n elements."""
+    out = []
+    for entry in catalog_instances():
+        M = entry.build()
+        out += [X for X in (M, dual(M)) if X.n <= max_n]
     return out
 
 
@@ -139,6 +150,40 @@ class TestGreedyMinimalize:
             assert is_minimal(M, B, "both", order)
             assert same_class(M, A, B, "both", "all")
 
+    def test_matches_reference_choice_rule(self):
+        for M in _catalog_and_duals():
+            orders = [None, tuple(reversed(range(M.n)))] + _shuffled_orders(M.n, 1, seed=11)
+            for order in orders:
+                for A in range(1 << M.n):
+                    assert greedy_minimalize(M, A, order) == greedy_minimalize_ref(M, A, order)
+
+    def test_stops_on_unvalidated_input(self):
+        # X_m = (+m, -(m+1..n-1)) is the only candidate while m is the
+        # largest element of the word, and flipping it is a binary
+        # decrement: from the full word the walk takes all 2^n - 1 flips
+        n = 10
+        counter = OrientedMatroid(
+            n, 0, [SignedSet((m,), range(m + 1, n)) for m in range(n)], [], "counter"
+        )
+        assert greedy_minimalize(counter, counter.ground_mask) == 0
+        assert greedy_minimalize_ref(counter, counter.ground_mask) == 0
+        rng = random.Random(3)
+        for _ in range(20):
+            sets = []
+            for _ in range(12):
+                signs = [rng.choice((-1, 0, 0, 1)) for _ in range(7)]
+                if any(signs):
+                    pos = [e for e, s in enumerate(signs) if s > 0]
+                    neg = [e for e, s in enumerate(signs) if s < 0]
+                    sets.append(SignedSet(pos, neg))
+            junk = OrientedMatroid(7, 3, sets[:6], sets[6:], "junk")
+            order = list(range(7))
+            rng.shuffle(order)
+            for A in range(1 << junk.n):
+                B = greedy_minimalize(junk, A, order)
+                assert is_minimal_ref(junk, B, "both", order)
+                assert B == greedy_minimalize_ref(junk, A, order)
+
 
 class TestActivePartition:
     def test_triangle_parts(self):
@@ -237,8 +282,7 @@ class TestActivityReport:
         }
 
     def test_matches_per_word_queries_under_orders(self):
-        for name in ("u24", "u35"):
-            M = get_instance(name)
+        for M in _catalog_and_duals():
             for order in _shuffled_orders(M.n, 2, seed=5):
                 for record in activity_report(M, order):
                     A = record["A"]

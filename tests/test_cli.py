@@ -126,6 +126,24 @@ class TestAnalyzeFiles:
         assert main(["analyze", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            {"uniform": [3, 5]},
+            {"signed": [1]},
+            {"matrix": [1, 2]},
+            {"signed": {"circuits": [{"pos": "ab"}], "cocircuits": []}},
+            {"graph": {"vertices": "3", "edges": [[0, 1]]}},
+            {"signed": {"circuits": [{"pos": [-1]}], "cocircuits": []}},
+            {"signed": {"circuits": [{"pos": [1.0]}], "cocircuits": []}},
+        ],
+    )
+    def test_misshapen_source_exits_1(self, tmp_path, capsys, source):
+        path = tmp_path / "misshapen.json"
+        path.write_text(json.dumps({"source": source}))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestVerify:
     def test_full_catalog_passes(self):
