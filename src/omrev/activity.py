@@ -17,10 +17,14 @@ The active partition splits the ground set by threshold unions of positive
 supports; flipping whole parts generates the activity classes, which tile
 the cube with one minimal reorientation in each class.
 
-Whole-cube questions are views over one memoized kernel, _cube_minima: for
-each stored set X it visits only the words where X is positive (B | X- and
-B | X+ over subsets B of the complement of supp(X)) and ORs the bit of
-min supp(X) into that word's circuit or cocircuit entry.  Entry bits are
+Whole-cube questions are views over one memoized kernel, _cube_minima,
+which ORs the bit of min supp(X) into the circuit or cocircuit entry of
+every word where the stored set X is positive.  It builds each table one
+element at a time: a set whose largest element is k never reads bit k+1
+or above, so the table over bits 0..k-1 is doubled onto the words with
+bit k set, and only then are the sets with top element k applied, at
+B | X- and B | X+ over the subsets B of bits 0..k outside supp(X).  That
+visits sum over X of 2^(max X + 1 - |X|) word pairs.  Entry bits are
 the (dual-)active elements, a zero entry means no positive set of that
 kind, and A & entry == 0 means A is minimal for that kind.  One-word
 queries are views over its one-word counterpart, core._positive, which
@@ -32,7 +36,13 @@ from __future__ import annotations
 
 from array import array
 
-from .core import InvalidOrientedMatroid, _check_reorientation, _elements_of, _positive
+from .core import (
+    InvalidOrientedMatroid,
+    _by_top,
+    _check_reorientation,
+    _elements_of,
+    _positive,
+)
 from .tutte import TuttePolynomial
 
 MODES = ("circuit", "cocircuit", "both")
@@ -71,28 +81,33 @@ def _cube_minima(M, order=None):
     """(circuit minima, cocircuit minima): one array entry per word A.
 
     An entry is the OR of the order-minimum bits of the stored sets of that
-    kind that are positive at A.  Memoized on M; equal orders share one
-    entry whatever their sequence type.
+    kind that are positive at A.  Each table is built by doubling: after
+    the step for element k it holds the entries over bits 0..k of the sets
+    with top element at most k.  Only the minimum bit depends on the order;
+    the grouping by top element uses the element labels.  Memoized on M;
+    equal orders share one entry whatever their sequence type.
     """
     positions = _positions(M.n, order)
     key = ("cube", positions if positions is None else tuple(positions))
     hit = M._cache.get(key)
     if hit is not None:
         return hit
-    full = M.ground_mask
     tables = []
     for data in (M.circuit_data, M.cocircuit_data):
-        table = array("L", [0]) * (1 << M.n)
-        for supp, pos, neg in data:
-            mb = _min_bit(supp, positions)
-            comp = full & ~supp
-            B = comp
-            while True:
-                table[B | neg] |= mb
-                table[B | pos] |= mb
-                if B == 0:
-                    break
-                B = (B - 1) & comp
+        table = array("L", [0])
+        for k, group in enumerate(_by_top(data, M.n)):
+            table *= 2
+            low = (2 << k) - 1
+            for supp, pos, neg in group:
+                mb = _min_bit(supp, positions)
+                comp = low & ~supp
+                B = comp
+                while True:
+                    table[B | neg] |= mb
+                    table[B | pos] |= mb
+                    if B == 0:
+                        break
+                    B = (B - 1) & comp
         tables.append(table)
     hit = M._cache[key] = tuple(tables)
     return hit

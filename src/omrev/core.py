@@ -447,6 +447,26 @@ class ValidationReport:
 
 
 def _incomparability_failures(kind, sets):
+    """The first comparable pair of supports in list order, as a failure line.
+
+    Distinct supports of equal size are never comparable, so when all
+    supports are distinct only pairs across size groups need a subset
+    test.  The pairwise scan in list order runs only once such a test (or a
+    repeated support) has shown that a comparable pair exists.
+    """
+    supports = [X.support_mask for X in sets]
+    if len(set(supports)) == len(supports):
+        by_size = {}
+        for s in supports:
+            by_size.setdefault(s.bit_count(), []).append(s)
+        larger = []
+        for size in sorted(by_size, reverse=True):
+            group = by_size[size]
+            if any(a & b == a for a in group for b in larger):
+                break
+            larger += group
+        else:
+            return []
     for i, X in enumerate(sets):
         for Y in sets[i + 1 :]:
             a, b = X.support_mask, Y.support_mask
@@ -549,6 +569,18 @@ def _positive(data, A):
     The one-word queries over mask triples read their positive sets here.
     """
     return [t for t in data if (inter := A & t[0]) == t[2] or inter == t[1]]
+
+
+def _by_top(data, n):
+    """The (supp, pos, neg) triples of one stored kind grouped by top element.
+
+    Entry k lists, in storage order, the triples whose support has k as its
+    largest element; such a set never reads or flips a bit above k.
+    """
+    groups = [[] for _ in range(n)]
+    for t in data:
+        groups[t[0].bit_length() - 1].append(t)
+    return groups
 
 
 def _part_masks(M, A):

@@ -2,13 +2,17 @@
 
 Two reorientations A and B are in the same class when one reaches the other
 by repeatedly reversing the support of a circuit or cocircuit that is
-positive there.  Two partitions are swept, circuit/all and cocircuit/all:
-a disjoint-set forest over all n-bit words, united along every generator
-pair.  For a stored set X with parts (X+, X-) the reorientations where X
-is positive are exactly B | X- and B | X+ over subsets B of the complement
-of the support, and those two words are each other's flip partners, so
-each stored set contributes one union per complement subset.  Forest
-pointers always go to a smaller word, so each root is its class minimum.
+positive there.  Two partitions are swept, circuit/all and cocircuit/all,
+each with a disjoint-set forest united along every generator pair.  For a
+stored set X with parts (X+, X-) the reorientations where X is positive
+are exactly B | X- and B | X+ over subsets B of the complement of the
+support, and those two words are each other's flip partners.  A set whose
+largest element is k never reads or flips bit k+1 or above, so the forest
+is grown one element at a time: the forest over bits 0..k-1 is doubled
+onto the words with bit k set, then each set with top element k makes one
+union per complement subset within bits 0..k.  That is sum over X of
+2^(max X + 1 - |X|) unions instead of 2^(n - |X|).  Forest pointers always
+go to a smaller word, so each root is its class minimum.
 
 both/all is the join of the two swept partitions.  A restricted setting is
 its mode's all partition cut down to the admitted words: acyclic (no
@@ -26,7 +30,7 @@ t(2,1), t(1,0), t(0,1).
 from __future__ import annotations
 
 from .activity import MODES, _cube_minima
-from .core import InvalidOrientedMatroid, _check_reorientation
+from .core import InvalidOrientedMatroid, _by_top, _check_reorientation
 
 RESTRICTIONS = ("all", "acyclic", "totally_cyclic")
 
@@ -99,8 +103,12 @@ class ReversalPartition:
             ],
         }
         if verbose and self.n <= 12:
+            members = {}
+            for A, r in enumerate(self.rep_of):
+                if r >= 0:
+                    members.setdefault(r, []).append(A)
             for entry in out["classes"]:
-                entry["members"] = self.members(entry["representative"])
+                entry["members"] = members[entry["representative"]]
         return out
 
 
@@ -136,18 +144,28 @@ def _classes(parent):
 
 
 def _sweep(M, generators):
-    """Union every generator pair over all words."""
-    parent = list(range(1 << M.n))
+    """Union every generator pair, doubling the forest one element at a time.
+
+    Before the sets with top element k are applied, the forest over the
+    words of bits 0..k-1 is copied onto the words with bit k set; the sets
+    applied so far never touch bit k, so the copy holds their classes on
+    the upper half.  The sets with top element k are then united over the
+    complement subsets within bits 0..k only.
+    """
+    parent = [0]
     union = _union_find(parent)
-    full = M.ground_mask
-    for supp, pos, neg in generators:
-        comp = full & ~supp
-        B = comp
-        while True:
-            union(B | neg, B | pos)
-            if B == 0:
-                break
-            B = (B - 1) & comp
+    for k, group in enumerate(_by_top(generators, M.n)):
+        bit = 1 << k
+        parent += [p | bit for p in parent]
+        low = (2 << k) - 1
+        for supp, pos, neg in group:
+            comp = low & ~supp
+            B = comp
+            while True:
+                union(B | neg, B | pos)
+                if B == 0:
+                    break
+                B = (B - 1) & comp
     return _classes(parent)
 
 

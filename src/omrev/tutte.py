@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .core import InvalidOrientedMatroid, _greedy_rank, _mask_of
+from .core import InvalidOrientedMatroid, _by_top, _greedy_rank, _mask_of
 
 
 def rank(M, S=None) -> int:
@@ -107,9 +107,7 @@ class TuttePolynomial:
 def _subset_greedy(M):
     """Greedy independent-set mask for every subset word, by the prefix property."""
     n = M.n
-    by_top = [[] for _ in range(n)]
-    for supp, _, _ in M.circuit_data:
-        by_top[supp.bit_length() - 1].append(supp)
+    by_top = [[supp for supp, _, _ in group] for group in _by_top(M.circuit_data, n)]
     greedy = [0] * (1 << n)
     for S in range(1, 1 << n):
         top = 1 << (S.bit_length() - 1)

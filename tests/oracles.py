@@ -4,9 +4,18 @@ These deliberately avoid the package's code paths: subset ranks come from
 exact matrix elimination instead of the circuit-greedy oracle, positivity
 checks rebuild per-element signs instead of comparing masks, and class
 structure comes from breadth-first closure instead of a union-find sweep.
+
+The exception is the pair cube_minima_ref and sweep_ref: the flat loops
+that visit, for each stored set, all 2^(n - |X|) words where it is
+positive, kept to pin the package's doubling build of the same tables
+and forests.  They reuse the package's order and forest helpers.
 """
 
+from array import array
 from fractions import Fraction
+
+from omrev.activity import _min_bit, _positions
+from omrev.reversal import _classes, _union_find
 
 
 def matrix_rank(rows, cols):
@@ -168,3 +177,62 @@ def greedy_minimalize_ref(M, A, order=None):
             return B
         B ^= best[1]
     raise AssertionError("greedy walk made 2^%d flips" % M.n)
+
+
+def cube_minima_ref(M, order=None):
+    """(circuit minima, cocircuit minima) tables by the flat visit, unmemoized.
+
+    For each stored set X, OR its order-minimum bit into the entries of
+    B | X- and B | X+ over all subsets B of the complement of supp(X).
+    """
+    positions = _positions(M.n, order)
+    full = M.ground_mask
+    tables = []
+    for data in (M.circuit_data, M.cocircuit_data):
+        table = array("L", [0]) * (1 << M.n)
+        for supp, pos, neg in data:
+            mb = _min_bit(supp, positions)
+            comp = full & ~supp
+            B = comp
+            while True:
+                table[B | neg] |= mb
+                table[B | pos] |= mb
+                if B == 0:
+                    break
+                B = (B - 1) & comp
+        tables.append(table)
+    return tuple(tables)
+
+
+def sweep_ref(M, generators):
+    """(rep_of, class count) uniting every generator pair over all n-bit words."""
+    parent = list(range(1 << M.n))
+    union = _union_find(parent)
+    full = M.ground_mask
+    for supp, pos, neg in generators:
+        comp = full & ~supp
+        B = comp
+        while True:
+            union(B | neg, B | pos)
+            if B == 0:
+                break
+            B = (B - 1) & comp
+    return _classes(parent)
+
+
+def reversal_classes_ref(M, mode, restriction):
+    """(rep_of, class count) of one setting from the flat loops alone.
+
+    The mode's generators are swept together, and a restricted setting
+    keeps the words where the cube_minima_ref table of the excluded kind
+    is zero.  None when a class mixes admitted and other words.
+    """
+    generators = [(X.support_mask, X.pos_mask, X.neg_mask) for X in _kind_sets(M, mode)]
+    rep_of, count = sweep_ref(M, generators)
+    if restriction == "all":
+        return rep_of, count
+    outside = cube_minima_ref(M)[0 if restriction == "acyclic" else 1]
+    if any((outside[A] == 0) != (outside[rep] == 0) for A, rep in enumerate(rep_of)):
+        return None
+    out = [rep if outside[A] == 0 else -1 for A, rep in enumerate(rep_of)]
+    return out, sum(rep == A for A, rep in enumerate(out))

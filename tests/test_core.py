@@ -242,6 +242,47 @@ class TestValidate:
         wrong = OrientedMatroid(M.n, 1, M.circuits, M.cocircuits)
         assert not validate(wrong).ok
 
+    # (sets in storage order, the pair the pairwise scan reports first)
+    COMPARABLE = (
+        # one support with two sign patterns
+        (
+            [ss((0, 1)), ss((0,), (1,)), ss((2, 3))],
+            "SignedSet(pos=[0, 1], neg=[]) vs SignedSet(pos=[0], neg=[1])",
+        ),
+        # a strict subset two size groups up, behind an incomparable pair
+        (
+            [ss((0, 1)), ss((0, 1, 2, 5)), ss((2, 3, 4))],
+            "SignedSet(pos=[0, 1], neg=[]) vs SignedSet(pos=[0, 1, 2, 5], neg=[])",
+        ),
+        # two comparable pairs: the first in list order is reported
+        (
+            [ss((0, 2), (5,)), ss((1, 3)), ss((1, 3, 5)), ss((2, 4)), ss((2, 4, 5))],
+            "SignedSet(pos=[1, 3], neg=[]) vs SignedSet(pos=[1, 3, 5], neg=[])",
+        ),
+    )
+
+    @pytest.mark.parametrize("kind", ["circuit", "cocircuit"])
+    @pytest.mark.parametrize("sets, pair", COMPARABLE)
+    def test_comparable_supports_report_first_pair(self, kind, sets, pair):
+        lists = (sets, []) if kind == "circuit" else ([], sets)
+        M = OrientedMatroid(6, 0, *lists)
+        assert (M.circuits, M.cocircuits)[kind == "cocircuit"] == tuple(sets)
+        expected = "%s supports are comparable: %s" % (kind, pair)
+        assert [f for f in validate(M).failures if "comparable" in f] == [expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 63), max_size=12))
+    def test_incomparability_matches_pairwise_scan(self, supports):
+        sets = [SignedSet(s, 0) for s in supports]
+        M = OrientedMatroid(6, 0, sets, [])
+        expected = []
+        for i, X in enumerate(M.circuits):
+            for Y in M.circuits[i + 1 :]:
+                a, b = X.support_mask, Y.support_mask
+                if not expected and (a & b == a or a & b == b):
+                    expected = ["circuit supports are comparable: %r vs %r" % (X, Y)]
+        assert [f for f in validate(M).failures if "comparable" in f] == expected
+
 
 class TestDual:
     def test_swaps_lists(self):

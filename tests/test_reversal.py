@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,7 +7,9 @@ from omrev import (
     InvalidOrientedMatroid,
     OrientedMatroid,
     SignedSet,
+    build_from_graph,
     build_from_matrix,
+    build_uniform,
     catalog_instances,
     dual,
     find_minimal_pair_in_class,
@@ -17,9 +21,10 @@ from omrev import (
     reversal_counts,
     same_class,
 )
+from omrev.activity import _cube_minima
 from omrev.reversal import MODES, RESTRICTIONS, SETTINGS, reversal_classes
-from oracles import bfs_classes, is_minimal_ref
-from test_activity import SMALL_MATRICES
+from oracles import bfs_classes, cube_minima_ref, is_minimal_ref, reversal_classes_ref
+from test_activity import SMALL_MATRICES, _catalog_and_duals
 
 ORACLE_NAMES = ("tri", "u24", "u25", "u35", "loop-plus-triangle", "path2", "loop1")
 
@@ -100,6 +105,15 @@ class TestPartition:
         assert d["classes"][0] == {"representative": 0, "size": 3, "members": [0, 5, 6]}
         assert "members" not in P.to_json_dict()["classes"][0]
 
+    def test_json_members_match_per_class_members(self):
+        for M in (get_instance("u36"), dual(get_instance("k4")), BAD):
+            for mode, restriction in (("both", "all"), ("cocircuit", "all"), ("circuit", "all")):
+                P = reversal_classes(M, mode, restriction)
+                entries = P.to_json_dict(verbose=True)["classes"]
+                assert [e["members"] for e in entries] == [
+                    P.members(e["representative"]) for e in entries
+                ]
+
 
 def _class_lists(M, mode, restriction):
     P = reversal_classes(M, mode, restriction)
@@ -120,6 +134,76 @@ class TestAgainstClosureOracle:
         M = build_from_matrix(rows)
         for mode, restriction in ACCEPTED:
             assert _class_lists(M, mode, restriction) == bfs_classes(M, mode, restriction)
+
+
+def _relabelled(M, seed):
+    """M with its element labels shuffled by a seeded permutation."""
+    perm = list(range(M.n))
+    random.Random(seed).shuffle(perm)
+
+    def move(X):
+        return SignedSet([perm[e] for e in X.pos], [perm[e] for e in X.neg])
+
+    return OrientedMatroid(
+        M.n, M.rank, map(move, M.circuits), map(move, M.cocircuits), "%s/%d" % (M.name, seed)
+    )
+
+
+def _assert_matches_flat_loops(M, *orders):
+    """Both kernel tables under the identity, the reversed and any given
+    order, and every setting's partition."""
+    for order in (None, tuple(range(M.n))[::-1]) + orders:
+        assert _cube_minima(M, order) == cube_minima_ref(M, order), (M.name, order)
+    for mode, restriction in ACCEPTED:
+        expected = reversal_classes_ref(M, mode, restriction)
+        if expected is None:
+            with pytest.raises(InvalidOrientedMatroid):
+                reversal_classes(M, mode, restriction)
+            continue
+        P = reversal_classes(M, mode, restriction)
+        assert (P.rep_of, P.class_count) == expected, (M.name, mode, restriction)
+
+
+class TestAgainstFlatLoops:
+    """The doubling builds against the flat loops they replaced."""
+
+    def test_catalog_and_duals(self):
+        for M in _catalog_and_duals():
+            _assert_matches_flat_loops(M)
+
+    def test_relabelled_under_three_orders(self):
+        K5 = build_from_graph([(i, j) for i in range(5) for j in range(i + 1, 5)], name="K5")
+        for seed, M in enumerate((build_uniform(3, 9), K5, dual(K5))):
+            M = _relabelled(M, seed)
+            shuffled = list(range(M.n))
+            random.Random(seed + 10).shuffle(shuffled)
+            _assert_matches_flat_loops(M, shuffled)
+
+    @settings(max_examples=20, deadline=None)
+    @given(SMALL_MATRICES)
+    def test_random_matrices(self, rows):
+        _assert_matches_flat_loops(build_from_matrix(rows))
+
+    def test_unvalidated_and_tiny(self):
+        cases = (
+            OrientedMatroid(0, 0, [], []),
+            OrientedMatroid(1, 0, [SignedSet((0,))], []),
+            OrientedMatroid(1, 1, [], [SignedSet((0,))]),
+            OrientedMatroid(1, 0, [SignedSet((0,))], [SignedSet((0,))]),
+            # a loop and a coloop at the top bit
+            OrientedMatroid(
+                4, 2, [SignedSet((3,)), SignedSet((0, 1), (2,))], [SignedSet((0,), (1,))]
+            ),
+            OrientedMatroid(4, 3, [SignedSet((0, 2), (1,))], [SignedSet((3,)), SignedSet((1, 2))]),
+            # junk: element 3 is both a loop and a coloop
+            OrientedMatroid(
+                4, 1, [SignedSet((3,)), SignedSet((0, 2), (1,))], [SignedSet((3,)), SignedSet((0, 1))]
+            ),
+            BAD,
+            dual(BAD),
+        )
+        for M in cases:
+            _assert_matches_flat_loops(M)
 
 
 class TestSameClass:
