@@ -17,19 +17,23 @@ The active partition splits the ground set by threshold unions of positive
 supports; flipping whole parts generates the activity classes, which tile
 the cube with one minimal reorientation in each class.
 
-Whole-cube questions are views over one memoized kernel, _cube_minima,
-which ORs the bit of min supp(X) into the circuit or cocircuit entry of
-every word where the stored set X is positive.  It builds each table one
-element at a time: a set whose largest element is k never reads bit k+1
-or above, so the table over bits 0..k-1 is doubled onto the words with
-bit k set, and only then are the sets with top element k applied, at
-B | X- and B | X+ over the subsets B of bits 0..k outside supp(X).  That
-visits sum over X of 2^(max X + 1 - |X|) word pairs.  Entry bits are
-the (dual-)active elements, a zero entry means no positive set of that
-kind, and A & entry == 0 means A is minimal for that kind.  One-word
-queries are views over its one-word counterpart, core._positive, which
-lists the stored sets of one kind that are positive at a word; they never
-build the arrays.
+Whole-cube questions, here and in module reversal, are views over one
+memoized pass, _cube_minima.  A stored set X is positive exactly at the
+words a = B | X- and b = B | X+ over the subsets B of the complement of
+its support, and reversing X swaps them.  For each such generator pair
+the pass ORs the bit of min supp(X) into the entries of a and b in its
+kind's table and unites a and b in its kind's union-find forest.  Both
+are built one element at a time: a set whose largest element is k never
+reads or flips bit k+1 or above, so the table and forest over bits
+0..k-1 are doubled onto the words with bit k set, and only then are the
+sets with top element k applied, over B within bits 0..k.  That visits
+sum over X of 2^(max X + 1 - |X|) pairs.  Entry bits are the
+(dual-)active elements, a zero entry means no positive set of that kind,
+and A & entry == 0 means A is minimal for that kind.  Forest pointers
+go to smaller words, so each root is its class minimum; the forests are
+the circuit/all and cocircuit/all reversal partitions.  One-word queries
+are views over core._positive, which lists the stored sets of one kind
+that are positive at a word; they never build the arrays.
 """
 
 from __future__ import annotations
@@ -77,15 +81,46 @@ def _min_bit(supp_mask, positions):
     return 1 << min(_elements_of(supp_mask), key=positions.__getitem__)
 
 
+def _union_find(parent):
+    """union(a, b) with path halving, on a forest whose pointers go to smaller words."""
+
+    def union(a, b):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+
+    return union
+
+
+def _classes(parent):
+    """(rep_of, class count) of a finished forest, reusing its list.
+
+    Parents are smaller words, so an ascending pass has already resolved
+    each parent's representative when it reaches the child.
+    """
+    count = 0
+    for A, p in enumerate(parent):
+        if p == A:
+            count += 1
+        else:
+            parent[A] = parent[p]
+    return parent, count
+
+
 def _cube_minima(M, order=None):
     """(circuit minima, cocircuit minima): one array entry per word A.
 
     An entry is the OR of the order-minimum bits of the stored sets of that
-    kind that are positive at A.  Each table is built by doubling: after
-    the step for element k it holds the entries over bits 0..k of the sets
-    with top element at most k.  Only the minimum bit depends on the order;
-    the grouping by top element uses the element labels.  Memoized on M;
-    equal orders share one entry whatever their sequence type.
+    kind that are positive at A.  The same pass builds both kinds'
+    forests.  Only the minimum bit depends on the order, so the memo keeps
+    the first pass's forests for _cube_forests and later passes drop
+    theirs.  Memoized on M; equal orders share one entry whatever their
+    sequence type.
     """
     positions = _positions(M.n, order)
     key = ("cube", positions if positions is None else tuple(positions))
@@ -93,24 +128,40 @@ def _cube_minima(M, order=None):
     if hit is not None:
         return hit
     tables = []
+    forests = []
     for data in (M.circuit_data, M.cocircuit_data):
         table = array("L", [0])
+        parent = [0]
+        union = _union_find(parent)
         for k, group in enumerate(_by_top(data, M.n)):
             table *= 2
+            parent += [p | 1 << k for p in parent]
             low = (2 << k) - 1
             for supp, pos, neg in group:
                 mb = _min_bit(supp, positions)
                 comp = low & ~supp
                 B = comp
                 while True:
-                    table[B | neg] |= mb
-                    table[B | pos] |= mb
+                    a = B | neg
+                    b = B | pos
+                    table[a] |= mb
+                    table[b] |= mb
+                    union(a, b)
                     if B == 0:
                         break
                     B = (B - 1) & comp
         tables.append(table)
+        forests.append(_classes(parent))
+    M._cache.setdefault("forests", tuple(forests))
     hit = M._cache[key] = tuple(tables)
     return hit
+
+
+def _cube_forests(M):
+    """((rep_of, class count) of circuit/all, the same of cocircuit/all)."""
+    if "forests" not in M._cache:
+        _cube_minima(M)
+    return M._cache["forests"]
 
 
 class ActivityData:

@@ -27,7 +27,7 @@ from .activity import (
     is_minimal,
     minimal_counts,
 )
-from .core import OrientedMatroid, build_uniform, load_instance_file
+from .core import InvalidOrientedMatroid, OrientedMatroid, build_uniform, load_instance_file
 from .regularity import classify, is_binary
 from .reversal import (
     SETTINGS,
@@ -194,6 +194,12 @@ def analyze_instance(M: OrientedMatroid, order=None, verbose=False, timing=False
     evals = evaluations(T)
     counts = reversal_counts(M)
     mins = minimal_counts(M, order)
+    if mins != evals:
+        # a theorem for every oriented matroid and order, so the input is not one
+        raise InvalidOrientedMatroid(
+            "minimal counts %r differ from the Tutte evaluations %r of %s"
+            % (mins, evals, M.name)
+        )
     verdict = is_binary(M)
     witness = None
     if verdict.witness is not None:

@@ -32,10 +32,15 @@ class InvalidOrientedMatroid(ValueError):
     """Input data violates an oriented-matroid invariant."""
 
 
+def _is_int(x):
+    """True for an int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _mask_of(elements):
     m = 0
     for e in elements:
-        if not isinstance(e, int) or e < 0:
+        if not _is_int(e) or e < 0:
             raise ValueError("elements must be nonnegative ints, got %r" % (e,))
         m |= 1 << e
     return m
@@ -364,7 +369,7 @@ def build_from_matrix(matrix, *, n=None, name="matrix") -> OrientedMatroid:
         raise ValueError("ground set too large: n=%d exceeds the hard cap %d" % (n, MAX_ELEMENTS))
     for row in rows:
         for x in row:
-            if not isinstance(x, int):
+            if not _is_int(x):
                 raise ValueError("matrix entries must be integers, got %r" % (x,))
     dual_rows = _kernel_basis(rows, n)
     circuits = _circuits_of_matrix(rows, n)
@@ -384,7 +389,7 @@ def build_from_graph(edges, *, vertices=None, name="graph") -> OrientedMatroid:
     if len(edge_list) > MAX_ELEMENTS:
         raise ValueError("too many edges: %d exceeds the hard cap %d" % (len(edge_list), MAX_ELEMENTS))
     for e in edge_list:
-        if len(e) != 2 or not all(isinstance(v, int) and v >= 0 for v in e):
+        if len(e) != 2 or not all(_is_int(v) and v >= 0 for v in e):
             raise ValueError("edges must be (tail, head) pairs of nonnegative ints, got %r" % (e,))
     nv = 1 + max((max(e) for e in edge_list), default=-1)
     if vertices is not None:
@@ -405,7 +410,7 @@ def build_uniform(r, n, name=None) -> OrientedMatroid:
     Distinct nodes make every r columns independent, so the circuits are
     exactly the (r+1)-subsets and the cocircuits the (n-r+1)-subsets.
     """
-    if not (isinstance(r, int) and isinstance(n, int) and 0 <= r <= n <= MAX_ELEMENTS):
+    if not (_is_int(r) and _is_int(n) and 0 <= r <= n <= MAX_ELEMENTS):
         raise ValueError("invalid r, n: need integers 0 <= r <= n <= %d" % MAX_ELEMENTS)
     matrix = [[(i + 1) ** p for i in range(n)] for p in range(r)]
     return build_from_matrix(matrix, n=n, name=name or "U(%d,%d)" % (r, n))
@@ -665,7 +670,7 @@ def _body_fits(kind, body):
     if not isinstance(body, dict):
         return False
     if kind == "graph":
-        return _is_list_of(body.get("edges"), list) and isinstance(body.get("vertices", 0), int)
+        return _is_list_of(body.get("edges"), list) and _is_int(body.get("vertices", 0))
     if kind == "uniform":
         return "r" in body and "n" in body
     lists = [body.get("circuits", []), body.get("cocircuits", [])]

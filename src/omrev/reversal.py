@@ -2,19 +2,11 @@
 
 Two reorientations A and B are in the same class when one reaches the other
 by repeatedly reversing the support of a circuit or cocircuit that is
-positive there.  Two partitions are swept, circuit/all and cocircuit/all,
-each with a disjoint-set forest united along every generator pair.  For a
-stored set X with parts (X+, X-) the reorientations where X is positive
-are exactly B | X- and B | X+ over subsets B of the complement of the
-support, and those two words are each other's flip partners.  A set whose
-largest element is k never reads or flips bit k+1 or above, so the forest
-is grown one element at a time: the forest over bits 0..k-1 is doubled
-onto the words with bit k set, then each set with top element k makes one
-union per complement subset within bits 0..k.  That is sum over X of
-2^(max X + 1 - |X|) unions instead of 2^(n - |X|).  Forest pointers always
-go to a smaller word, so each root is its class minimum.
+positive there.  The two base partitions, circuit/all and cocircuit/all,
+are the union-find forests that activity's one cube pass builds next to
+its minima tables, from the same generator pairs.
 
-both/all is the join of the two swept partitions.  A restricted setting is
+both/all is the join of the two base partitions.  A restricted setting is
 its mode's all partition cut down to the admitted words: acyclic (no
 positive circuit) or totally cyclic (no positive cocircuit).  In a valid
 oriented matroid no reversal moves the acyclic/cyclic split, so every
@@ -22,15 +14,15 @@ class is wholly admitted or wholly outside; a mixed class means a
 permitted reversal leaves the admitted set and raises
 InvalidOrientedMatroid.
 
-The class counts in the five standard settings are bounded below by, and
+The class counts in the five standard settings are bounded above by, and
 for regular instances equal to, the Tutte evaluations t(1,1), t(1,2),
 t(2,1), t(1,0), t(0,1).
 """
 
 from __future__ import annotations
 
-from .activity import MODES, _cube_minima
-from .core import InvalidOrientedMatroid, _by_top, _check_reorientation
+from .activity import MODES, _classes, _cube_forests, _cube_minima, _union_find
+from .core import InvalidOrientedMatroid, _check_reorientation
 
 RESTRICTIONS = ("all", "acyclic", "totally_cyclic")
 
@@ -102,7 +94,7 @@ class ReversalPartition:
                 {"representative": r, "size": s} for r, s in self.classes()
             ],
         }
-        if verbose and self.n <= 12:
+        if verbose:
             members = {}
             for A, r in enumerate(self.rep_of):
                 if r >= 0:
@@ -110,63 +102,6 @@ class ReversalPartition:
             for entry in out["classes"]:
                 entry["members"] = members[entry["representative"]]
         return out
-
-
-def _union_find(parent):
-    """union(a, b) with path halving, on a forest whose pointers go to smaller words."""
-
-    def union(a, b):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-
-    return union
-
-
-def _classes(parent):
-    """(rep_of, class count) of a finished forest, reusing its list.
-
-    Parents are smaller words, so an ascending pass has already resolved
-    each parent's representative when it reaches the child.
-    """
-    count = 0
-    for A, p in enumerate(parent):
-        if p == A:
-            count += 1
-        else:
-            parent[A] = parent[p]
-    return parent, count
-
-
-def _sweep(M, generators):
-    """Union every generator pair, doubling the forest one element at a time.
-
-    Before the sets with top element k are applied, the forest over the
-    words of bits 0..k-1 is copied onto the words with bit k set; the sets
-    applied so far never touch bit k, so the copy holds their classes on
-    the upper half.  The sets with top element k are then united over the
-    complement subsets within bits 0..k only.
-    """
-    parent = [0]
-    union = _union_find(parent)
-    for k, group in enumerate(_by_top(generators, M.n)):
-        bit = 1 << k
-        parent += [p | bit for p in parent]
-        low = (2 << k) - 1
-        for supp, pos, neg in group:
-            comp = low & ~supp
-            B = comp
-            while True:
-                union(B | neg, B | pos)
-                if B == 0:
-                    break
-                B = (B - 1) & comp
-    return _classes(parent)
 
 
 def _restrict(M, rep_of, restriction):
@@ -196,14 +131,14 @@ def reversal_classes(M, mode: str = "both", restriction: str = "all") -> Reversa
 
     if restriction != "all":
         rep_of, count = _restrict(M, reversal_classes(M, mode, "all").rep_of, restriction)
-    elif mode == "both":  # join of the two swept partitions
+    elif mode == "both":  # join of the two base partitions
         parent = list(reversal_classes(M, "circuit", "all").rep_of)
         union = _union_find(parent)
         for A, rep in enumerate(reversal_classes(M, "cocircuit", "all").rep_of):
             union(A, rep)
         rep_of, count = _classes(parent)
     else:
-        rep_of, count = _sweep(M, M.circuit_data if mode == "circuit" else M.cocircuit_data)
+        rep_of, count = _cube_forests(M)[0 if mode == "circuit" else 1]
 
     partition = ReversalPartition(mode, restriction, M.n, rep_of, count)
     M._cache[key] = partition
@@ -229,8 +164,10 @@ def same_class(M, A: int, B: int, mode: str = "both", restriction: str = "all") 
 def find_minimal_pair_in_class(M, mode: str = "cocircuit", restriction: str = "acyclic"):
     """Two distinct minimal reorientations sharing a reversal class, or None.
 
-    Minimality is module activity's is_minimal with the matching mode.  The
-    scan is deterministic: among all classes holding two or more minimal
+    Minimality is read from the cube pass's minima tables with the
+    matching mode: a member is minimal when it holds the minimum of no
+    positive set of the mode's kinds, as in module activity's is_minimal.
+    The scan is deterministic: among all classes holding two or more minimal
     members, it returns the lexicographically first pair (A, B), A < B.
     For a regular instance every setting returns None; a non-regular
     loopless instance must yield a pair in the default setting

@@ -3,19 +3,19 @@
 These deliberately avoid the package's code paths: subset ranks come from
 exact matrix elimination instead of the circuit-greedy oracle, positivity
 checks rebuild per-element signs instead of comparing masks, and class
-structure comes from breadth-first closure instead of a union-find sweep.
+structure comes from breadth-first closure instead of a union-find forest.
 
-The exception is the pair cube_minima_ref and sweep_ref: the flat loops
-that visit, for each stored set, all 2^(n - |X|) words where it is
-positive, kept to pin the package's doubling build of the same tables
-and forests.  They reuse the package's order and forest helpers.
+The exception is the pair cube_minima_ref and sweep_ref: flat loops that
+visit, for each stored set, all 2^(n - |X|) words where it is positive.
+They build the minima tables and the forests in separate loops and pin
+the package's single doubling pass that builds both.  They reuse the
+package's order and forest helpers.
 """
 
 from array import array
 from fractions import Fraction
 
-from omrev.activity import _min_bit, _positions
-from omrev.reversal import _classes, _union_find
+from omrev.activity import _classes, _min_bit, _positions, _union_find
 
 
 def matrix_rank(rows, cols):

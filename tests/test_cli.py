@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -136,6 +137,12 @@ class TestAnalyzeFiles:
             {"graph": {"vertices": "3", "edges": [[0, 1]]}},
             {"signed": {"circuits": [{"pos": [-1]}], "cocircuits": []}},
             {"signed": {"circuits": [{"pos": [1.0]}], "cocircuits": []}},
+            # JSON booleans are not integers
+            {"uniform": {"r": True, "n": 3}},
+            {"matrix": [[True, False, 1]]},
+            {"graph": {"edges": [[0, True]]}},
+            {"graph": {"vertices": True, "edges": [[0, 0]]}},
+            {"signed": {"circuits": [], "cocircuits": [{"pos": [False]}, {"pos": [True]}]}},
         ],
     )
     def test_misshapen_source_exits_1(self, tmp_path, capsys, source):
@@ -143,6 +150,42 @@ class TestAnalyzeFiles:
         path.write_text(json.dumps({"source": source}))
         assert main(["analyze", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            # caught by validate's acyclic/cyclic tiling scan, run up to n = 12
+            (12, "reorientation 1024 does not split into acyclic and cyclic parts"),
+            # above n = 12 the scan does not run; analyze's count check catches it
+            (
+                13,
+                "minimal counts (79, 8178, 93, 12, 67) differ from "
+                "the Tutte evaluations (78, 8177, 93, 13, 67)",
+            ),
+        ],
+        ids=["n12", "n13"],
+    )
+    def test_line_missing_a_circuit_exits_1(self, tmp_path, capsys, n, message):
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"source": _line_missing_a_circuit(n)}))
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+
+def _line_missing_a_circuit(n):
+    """U(2, n) points on a line in order, with the last circuit dropped.
+
+    Circuit {a < b < c} has parts {a, c} and {b}; the cocircuit of point p
+    splits E minus p into the points before and after it.  Dropping one
+    circuit leaves lists that pass the pairwise checks but are not an
+    oriented matroid.
+    """
+    circuits = [{"pos": [a, c], "neg": [b]} for a, b, c in itertools.combinations(range(n), 3)]
+    cocircuits = [
+        {"pos": list(range(p)), "neg": list(range(p + 1, n))} for p in range(n)
+    ]
+    return {"signed": {"circuits": circuits[:-1], "cocircuits": cocircuits}}
 
 
 class TestVerify:

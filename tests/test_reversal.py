@@ -21,9 +21,15 @@ from omrev import (
     reversal_counts,
     same_class,
 )
-from omrev.activity import _cube_minima
+from omrev.activity import _cube_forests, _cube_minima
 from omrev.reversal import MODES, RESTRICTIONS, SETTINGS, reversal_classes
-from oracles import bfs_classes, cube_minima_ref, is_minimal_ref, reversal_classes_ref
+from oracles import (
+    bfs_classes,
+    cube_minima_ref,
+    is_minimal_ref,
+    reversal_classes_ref,
+    sweep_ref,
+)
 from test_activity import SMALL_MATRICES, _catalog_and_duals
 
 ORACLE_NAMES = ("tri", "u24", "u25", "u35", "loop-plus-triangle", "path2", "loop1")
@@ -114,6 +120,16 @@ class TestPartition:
                     P.members(e["representative"]) for e in entries
                 ]
 
+    def test_json_members_above_twelve_elements(self):
+        # 13 coloops: circuit/all has 8192 singleton classes, cocircuit/all one class
+        M = OrientedMatroid(13, 13, [], [SignedSet((e,)) for e in range(13)], "free13")
+        for mode, restriction in ACCEPTED:
+            P = reversal_classes(M, mode, restriction)
+            entries = P.to_json_dict(verbose=True)["classes"]
+            assert all(e["members"][0] == e["representative"] for e in entries)
+            covered = sorted(A for e in entries for A in e["members"])
+            assert covered == [A for A in range(1 << 13) if P.is_admitted(A)], (mode, restriction)
+
 
 def _class_lists(M, mode, restriction):
     P = reversal_classes(M, mode, restriction)
@@ -150,10 +166,21 @@ def _relabelled(M, seed):
 
 
 def _assert_matches_flat_loops(M, *orders):
-    """Both kernel tables under the identity, the reversed and any given
-    order, and every setting's partition."""
-    for order in (None, tuple(range(M.n))[::-1]) + orders:
+    """Both kernel tables under the reversed, the identity and any given
+    order, then both forests and every setting's partition.
+
+    M must be fresh: the reversed order's pass runs first, so the forests
+    the memo serves come from a non-identity pass, and the later passes
+    must leave that copy in place.
+    """
+    assert not M._cache, M.name
+    reversed_order = tuple(range(M.n))[::-1]
+    assert _cube_minima(M, reversed_order) == cube_minima_ref(M, reversed_order), M.name
+    forests = _cube_forests(M)
+    for order in (None,) + orders:
         assert _cube_minima(M, order) == cube_minima_ref(M, order), (M.name, order)
+    assert _cube_forests(M) is forests, M.name
+    assert forests == (sweep_ref(M, M.circuit_data), sweep_ref(M, M.cocircuit_data)), M.name
     for mode, restriction in ACCEPTED:
         expected = reversal_classes_ref(M, mode, restriction)
         if expected is None:
@@ -199,7 +226,7 @@ class TestAgainstFlatLoops:
             OrientedMatroid(
                 4, 1, [SignedSet((3,)), SignedSet((0, 2), (1,))], [SignedSet((3,)), SignedSet((0, 1))]
             ),
-            BAD,
+            OrientedMatroid(BAD.n, BAD.rank, BAD.circuits, BAD.cocircuits),  # a fresh BAD
             dual(BAD),
         )
         for M in cases:
