@@ -17,27 +17,36 @@ The active partition splits the ground set by threshold unions of positive
 supports; flipping whole parts generates the activity classes, which tile
 the cube with one minimal reorientation in each class.
 
-Whole-cube questions, here and in module reversal, are views over one
-memoized pass, _cube_minima.  A stored set X is positive exactly at the
-words a = B | X- and b = B | X+ over the subsets B of the complement of
-its support, and reversing X swaps them.  For each such generator pair
-the pass ORs the bit of min supp(X) into the entries of a and b in its
-kind's table and unites a and b in its kind's union-find forest.  Both
-are built one element at a time: a set whose largest element is k never
-reads or flips bit k+1 or above, so the table and forest over bits
-0..k-1 are doubled onto the words with bit k set, and only then are the
-sets with top element k applied, over B within bits 0..k.  That visits
-sum over X of 2^(max X + 1 - |X|) pairs.  Entry bits are the
-(dual-)active elements, a zero entry means no positive set of that kind,
-and A & entry == 0 means A is minimal for that kind.  Forest pointers
-go to smaller words, so each root is its class minimum; the forests are
-the circuit/all and cocircuit/all reversal partitions.  One-word queries
-are views over core._positive, which lists the stored sets of one kind
-that are positive at a word; they never build the arrays.
+Whole-cube questions, here and in module reversal, are views over two
+builds memoized on M.  Both work on Python big-int bitsets and whole lists
+at C speed rather than in per-word Python loops.
+
+_cube_minima builds one table per kind and order.  A stored set X is
+positive exactly at the words B | X- and B | X+ over the subsets B of the
+complement of its support; core._positive_words gives those words as one
+bitset over the 2^n words.  The bitsets of the sets whose order-minimum
+is e are ORed into one bitset per element, and _bit_table turns the n
+bitsets into one array entry per word.  Entry bits are the (dual-)active
+elements, a zero entry means no positive set of that kind, and
+A & entry == 0 means A is minimal for that kind.
+
+_cube_forests builds the circuit/all and cocircuit/all reversal
+partitions, once per M and for no order, as lists mapping each word to
+its class minimum.  They grow one element at a time: a set whose largest
+element is k never reads or flips bit k+1 or above, so the partition over
+bits 0..k-1 is doubled onto the words with bit k set, and only then do
+the sets with top element k join classes.  Their generator pairs, sum
+over X of 2^(max X + 1 - |X|) in all, are read through the class list as
+class edges, and only the distinct edges are united.
+
+One-word queries are views over core._positive, which lists the stored
+sets of one kind that are positive at a word; they never build the
+arrays.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 
 from .core import (
@@ -46,6 +55,8 @@ from .core import (
     _check_reorientation,
     _elements_of,
     _positive,
+    _positive_words,
+    _word_planes,
 )
 from .tutte import TuttePolynomial
 
@@ -81,87 +92,137 @@ def _min_bit(supp_mask, positions):
     return 1 << min(_elements_of(supp_mask), key=positions.__getitem__)
 
 
-def _union_find(parent):
-    """union(a, b) with path halving, on a forest whose pointers go to smaller words."""
-
-    def union(a, b):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-
-    return union
+def _class_count(rep):
+    """Number of classes of a representative list: the words that are their own."""
+    return sum(map(int.__eq__, rep, range(len(rep))))
 
 
-def _classes(parent):
-    """(rep_of, class count) of a finished forest, reusing its list.
+# bytes per table entry, and per lane bit j the translation of binary
+# digits "0"/"1" into bytes 0 and 1 << j
+_TABLE_ITEM = array("L").itemsize
+_LANE_BITS = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 
-    Parents are smaller words, so an ascending pass has already resolved
-    each parent's representative when it reaches the child.
+
+def _bit_table(hits, n):
+    """array("L") whose entry A has bit e set iff bit A of hits[e] is set.
+
+    Each bitset is written out as binary digits, one byte per word with word
+    2^n - 1 first, and translated to 0 or its element's bit within a lane of
+    eight elements; the elements of a lane are ORed as big-endian ints, and
+    the lanes are interleaved into the entries' bytes.
     """
-    count = 0
-    for A, p in enumerate(parent):
-        if p == A:
-            count += 1
-        else:
-            parent[A] = parent[p]
-    return parent, count
+    size = 1 << n
+    item = _TABLE_ITEM
+    buf = bytearray(size * item)
+    for lane in range(0, n, 8):
+        acc = 0
+        for e in range(lane, min(n, lane + 8)):
+            if hits[e]:
+                digits = format(hits[e], "0%db" % size).encode()
+                acc |= int.from_bytes(digits.translate(_LANE_BITS[e - lane]), "big")
+        byte = lane // 8 if sys.byteorder == "little" else item - 1 - lane // 8
+        buf[byte::item] = acc.to_bytes(size, "little")
+    table = array("L")
+    table.frombytes(buf)
+    return table
 
 
 def _cube_minima(M, order=None):
     """(circuit minima, cocircuit minima): one array entry per word A.
 
     An entry is the OR of the order-minimum bits of the stored sets of that
-    kind that are positive at A.  The same pass builds both kinds'
-    forests.  Only the minimum bit depends on the order, so the memo keeps
-    the first pass's forests for _cube_forests and later passes drop
-    theirs.  Memoized on M; equal orders share one entry whatever their
-    sequence type.
+    kind that are positive at A.  Per element e, the words where e is the
+    minimum of some positive set form the OR of those sets'
+    _positive_words; _bit_table turns the n bitsets into the table.
+    Memoized on M; equal orders share one entry whatever their sequence
+    type.
     """
     positions = _positions(M.n, order)
     key = ("cube", positions if positions is None else tuple(positions))
     hit = M._cache.get(key)
     if hit is not None:
         return hit
+    planes = _word_planes(M.n)
     tables = []
-    forests = []
     for data in (M.circuit_data, M.cocircuit_data):
-        table = array("L", [0])
-        parent = [0]
-        union = _union_find(parent)
-        for k, group in enumerate(_by_top(data, M.n)):
-            table *= 2
-            parent += [p | 1 << k for p in parent]
-            low = (2 << k) - 1
-            for supp, pos, neg in group:
-                mb = _min_bit(supp, positions)
-                comp = low & ~supp
-                B = comp
-                while True:
-                    a = B | neg
-                    b = B | pos
-                    table[a] |= mb
-                    table[b] |= mb
-                    union(a, b)
-                    if B == 0:
-                        break
-                    B = (B - 1) & comp
-        tables.append(table)
-        forests.append(_classes(parent))
-    M._cache.setdefault("forests", tuple(forests))
+        hits = [0] * M.n
+        for supp, pos, neg in data:
+            e = _min_bit(supp, positions).bit_length() - 1
+            hits[e] |= _positive_words(planes, supp, pos, neg)
+        tables.append(_bit_table(hits, M.n))
     hit = M._cache[key] = tuple(tables)
     return hit
 
 
+def _joined(rep, edges):
+    """rep with the classes at the two ends of each edge merged.
+
+    rep maps each word to its class minimum and every edge end is a class
+    minimum, so rep is a forest of depth one whose roots include the ends.
+    Uniting two roots points the larger at the smaller and records it;
+    path halving only shortens pointers of recorded words.  Resolving the
+    recorded words in ascending order points each at its root, and one
+    C-speed map then carries every word to its root, the class minimum.
+    """
+    moved = []
+    for a, b in edges:
+        while rep[a] != a:
+            rep[a] = a = rep[rep[a]]
+        while rep[b] != b:
+            rep[b] = b = rep[rep[b]]
+        if a != b:
+            if b < a:
+                a, b = b, a
+            rep[b] = a
+            moved.append(b)
+    for x in sorted(moved):
+        rep[x] = rep[rep[x]]
+    return list(map(rep.__getitem__, rep))
+
+
+def _forest(data, n):
+    """(rep_of, class count) of the reversal partition one stored kind generates.
+
+    After the elements 0..k-1, rep maps each of the 2^k words to its class
+    minimum.  A set X with top element k pairs the word w = B | t with
+    w ^ supp(X), where t is the sign part of X without k and B runs over
+    the subsets of bits 0..k-1 outside its support; the partner is the word
+    w + d, with d = u - t for the other part u without k, plus bit k.  So
+    the sets with top element k join the class of w to the copy of the
+    class of w + d on the words with bit k set: their generator pairs are
+    read through rep as class edges, and only the distinct edges are united
+    once rep is doubled onto those words.
+    """
+    rep = [0]
+    for k, group in enumerate(_by_top(data, n)):
+        top = 1 << k
+        edges = set()
+        for supp, pos, neg in group:
+            t = neg if pos & top else pos
+            d = (supp ^ top ^ t) - t
+            lower = [t]
+            comp = (top - 1) & ~supp
+            while comp:
+                bit = comp & -comp
+                comp ^= bit
+                lower += [w | bit for w in lower]
+            edges.update({(rep[w], rep[w + d]) for w in lower})
+        rep += [r | top for r in rep]
+        if edges:
+            rep = _joined(rep, ((x, y | top) for x, y in edges))
+    return rep, _class_count(rep)
+
+
 def _cube_forests(M):
-    """((rep_of, class count) of circuit/all, the same of cocircuit/all)."""
-    if "forests" not in M._cache:
-        _cube_minima(M)
-    return M._cache["forests"]
+    """((rep_of, class count) of circuit/all, the same of cocircuit/all).
+
+    Built once per M on first use; the forests depend on no order, and
+    _cube_minima never builds them.
+    """
+    hit = M._cache.get("forests")
+    if hit is None:
+        hit = M._cache["forests"] = (_forest(M.circuit_data, M.n), _forest(M.cocircuit_data, M.n))
+    return hit
 
 
 class ActivityData:

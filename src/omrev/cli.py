@@ -187,19 +187,28 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
+def _checked_minimal_counts(M, evals, order=None):
+    """minimal_counts(M, order), which must equal the Tutte evaluations evals.
+
+    The equality is a theorem for every oriented matroid and order, so a
+    mismatch means the input is not one and raises InvalidOrientedMatroid.
+    """
+    mins = minimal_counts(M, order)
+    if mins != evals:
+        raise InvalidOrientedMatroid(
+            "minimal counts %r differ from the Tutte evaluations %r of %s"
+            % (mins, evals, M.name)
+        )
+    return mins
+
+
 def analyze_instance(M: OrientedMatroid, order=None, verbose=False, timing=False) -> AnalysisReport:
     """Compute the full analysis record for one oriented matroid."""
     started = time.perf_counter()
     T = tutte_polynomial(M)
     evals = evaluations(T)
     counts = reversal_counts(M)
-    mins = minimal_counts(M, order)
-    if mins != evals:
-        # a theorem for every oriented matroid and order, so the input is not one
-        raise InvalidOrientedMatroid(
-            "minimal counts %r differ from the Tutte evaluations %r of %s"
-            % (mins, evals, M.name)
-        )
+    mins = _checked_minimal_counts(M, evals, order)
     verdict = is_binary(M)
     witness = None
     if verdict.witness is not None:
@@ -515,6 +524,7 @@ def cmd_catalog_list(out="table", stream=None) -> int:
 
 def cmd_witness(target, mode="cocircuit", restriction="acyclic", out="table", stream=None) -> int:
     M = _resolve_instance(target)
+    _checked_minimal_counts(M, evaluations(tutte_polynomial(M)))
     pair = find_minimal_pair_in_class(M, mode, restriction)
     record = {
         "instance": M.name,

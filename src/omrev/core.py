@@ -571,7 +571,8 @@ def _positive(data, A):
     """The (supp, pos, neg) triples of one stored kind that are positive at A.
 
     The mask-triple form of SignedSet.is_positive_in: A & supp is X- or X+.
-    The one-word queries over mask triples read their positive sets here.
+    The one-word queries over mask triples read their positive sets here;
+    _positive_words answers the same question for every word at once.
     """
     return [t for t in data if (inter := A & t[0]) == t[2] or inter == t[1]]
 
@@ -586,6 +587,41 @@ def _by_top(data, n):
     for t in data:
         groups[t[0].bit_length() - 1].append(t)
     return groups
+
+
+def _word_planes(n):
+    """(~P, P) for each element i < n, where P is a bitset over the 2^n words.
+
+    Bit A of P is set iff word A holds element i, and ~P is its complement
+    within the 2^n words.  P runs of 2^i clear bits then 2^i set bits, so
+    it is one byte pattern repeated (one fixed byte for i < 3).
+    """
+    size = 1 << n
+    full = (1 << size) - 1
+    planes = []
+    for i in range(n):
+        if i < 3:
+            pattern = (b"\xaa", b"\xcc", b"\xf0")[i]
+        else:
+            pattern = bytes(1 << (i - 3)) + b"\xff" * (1 << (i - 3))
+        P = int.from_bytes(pattern * max(1, size // (8 * len(pattern))), "little") & full
+        planes.append((full ^ P, P))
+    return planes
+
+
+def _positive_words(planes, supp, pos, neg):
+    """Bitset of the words where the stored set (supp, pos, neg) is positive.
+
+    The mask-triple form of _positive over all words at once, from the
+    _word_planes of the ground set.  S holds the words with A & supp ==
+    neg; on those A ^ supp = A - neg + pos, so S shifted by pos - neg holds
+    the words with A & supp == pos.
+    """
+    S = (1 << (1 << len(planes))) - 1
+    for i in _elements_of(supp):
+        S &= planes[i][neg >> i & 1]
+    d = pos - neg
+    return S | (S << d if d >= 0 else S >> -d)
 
 
 def _part_masks(M, A):

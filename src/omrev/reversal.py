@@ -3,15 +3,18 @@
 Two reorientations A and B are in the same class when one reaches the other
 by repeatedly reversing the support of a circuit or cocircuit that is
 positive there.  The two base partitions, circuit/all and cocircuit/all,
-are the union-find forests that activity's one cube pass builds next to
-its minima tables, from the same generator pairs.
+are the class-minimum lists that activity._cube_forests builds once per
+instance from the distinct class edges of the generator pairs; no minima
+table or order is involved.
 
-both/all is the join of the two base partitions.  A restricted setting is
-its mode's all partition cut down to the admitted words: acyclic (no
-positive circuit) or totally cyclic (no positive cocircuit).  In a valid
-oriented matroid no reversal moves the acyclic/cyclic split, so every
-class is wholly admitted or wholly outside; a mixed class means a
-permitted reversal leaves the admitted set and raises
+both/all is the join of the two base partitions: every word links its
+class in the coarser one to the class there of its representative in the
+finer one, and the distinct links are united.  A restricted setting is its mode's all
+partition cut down to the admitted words: acyclic (no positive circuit)
+or totally cyclic (no positive cocircuit), read from the minima tables.
+In a valid oriented matroid no reversal moves the acyclic/cyclic split,
+so every class is wholly admitted or wholly outside; a mixed class means
+a permitted reversal leaves the admitted set and raises
 InvalidOrientedMatroid.
 
 The class counts in the five standard settings are bounded above by, and
@@ -21,7 +24,7 @@ t(2,1), t(1,0), t(0,1).
 
 from __future__ import annotations
 
-from .activity import MODES, _classes, _cube_forests, _cube_minima, _union_find
+from .activity import MODES, _class_count, _cube_forests, _cube_minima, _joined
 from .core import InvalidOrientedMatroid, _check_reorientation
 
 RESTRICTIONS = ("all", "acyclic", "totally_cyclic")
@@ -132,11 +135,16 @@ def reversal_classes(M, mode: str = "both", restriction: str = "all") -> Reversa
     if restriction != "all":
         rep_of, count = _restrict(M, reversal_classes(M, mode, "all").rep_of, restriction)
     elif mode == "both":  # join of the two base partitions
-        parent = list(reversal_classes(M, "circuit", "all").rep_of)
-        union = _union_find(parent)
-        for A, rep in enumerate(reversal_classes(M, "cocircuit", "all").rep_of):
-            union(A, rep)
-        rep_of, count = _classes(parent)
+        fine, coarse = sorted(
+            (reversal_classes(M, kind, "all") for kind in ("circuit", "cocircuit")),
+            key=lambda P: -P.class_count,
+        )
+        # A and its representative in the finer partition share a class, and
+        # so do their representatives in the coarser one: one edge per word
+        # between coarse classes, of which few are distinct
+        base = coarse.rep_of
+        rep_of = _joined(list(base), set(zip(base, map(base.__getitem__, fine.rep_of))))
+        count = _class_count(rep_of)
     else:
         rep_of, count = _cube_forests(M)[0 if mode == "circuit" else 1]
 
@@ -164,7 +172,7 @@ def same_class(M, A: int, B: int, mode: str = "both", restriction: str = "all") 
 def find_minimal_pair_in_class(M, mode: str = "cocircuit", restriction: str = "acyclic"):
     """Two distinct minimal reorientations sharing a reversal class, or None.
 
-    Minimality is read from the cube pass's minima tables with the
+    Minimality is read from activity's minima tables with the
     matching mode: a member is minimal when it holds the minimum of no
     positive set of the mode's kinds, as in module activity's is_minimal.
     The scan is deterministic: among all classes holding two or more minimal

@@ -5,16 +5,19 @@ t(M; x, y) = sum over S subset of E of (x-1)^(r(E)-r(S)) * (y-1)^(|S|-r(S)).
 The sum is accumulated exactly in the (x-1, y-1) basis over all 2^n subsets
 and converted to monomial coefficients with binomial expansion; everything
 is integer arithmetic.  Subset ranks come from a greedy oracle driven by
-circuit supports alone, memoized across the subset lattice through the
-prefix property of the greedy scan (dropping the top element of S leaves
-the greedy decisions on the rest unchanged).
+circuit supports alone.  By the prefix property of the greedy scan
+(dropping the top element of S leaves the greedy decisions on the rest
+unchanged), whether the scan keeps e depends only on the smaller
+elements' decisions, so it is decided for all 2^n subsets at once on
+Python big-int bitsets with bit S per subset.  Ranks and nullities are
+then summed bit-sliced, and each corank-nullity count is one popcount.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .core import InvalidOrientedMatroid, _by_top, _greedy_rank, _mask_of
+from .core import InvalidOrientedMatroid, _by_top, _elements_of, _greedy_rank, _mask_of, _word_planes
 
 
 def rank(M, S=None) -> int:
@@ -104,37 +107,86 @@ class TuttePolynomial:
         return cls(data["rank"], data["coeffs"])
 
 
-def _subset_greedy(M):
-    """Greedy independent-set mask for every subset word, by the prefix property."""
-    n = M.n
-    by_top = [[supp for supp, _, _ in group] for group in _by_top(M.circuit_data, n)]
-    greedy = [0] * (1 << n)
-    for S in range(1, 1 << n):
-        top = 1 << (S.bit_length() - 1)
-        prev = greedy[S ^ top]
-        cand = prev | top
-        for c in by_top[top.bit_length() - 1]:
-            if c & cand == c:
-                cand = prev
-                break
-        greedy[S] = cand
-    return greedy
+def _kept_planes(M, planes):
+    """kept[e]: bitset of the words S whose circuit-greedy set holds e.
+
+    The greedy scan keeps e in S exactly when e is in S and no circuit with
+    top element e has the rest of its support kept in S: by the prefix
+    property the decisions on smaller elements are those of S alone.  So
+    kept[e] is P[e] minus, over those circuits, the AND of the smaller
+    elements' kept bitsets.  This holds for any list of supports, matroid
+    or not.
+    """
+    kept = []
+    for (_, P), group in zip(planes, _by_top(M.circuit_data, M.n)):
+        closed = 0
+        for supp, _, _ in group:
+            rest = -1
+            for i in _elements_of(supp)[:-1]:
+                rest &= kept[i]
+            closed |= rest
+        kept.append(P & ~closed)
+    return kept
+
+
+def _count_planes(bitsets, full):
+    """eq[v]: bitset of the words at which exactly v of the bitsets hold.
+
+    The count is summed bit-sliced: digits[j] holds bit j of every word's
+    running count, and each bitset is added with a ripple carry.
+    """
+    digits = []
+    for carry in bitsets:
+        for j, d in enumerate(digits):
+            digits[j], carry = d ^ carry, d & carry
+        if carry:
+            digits.append(carry)
+    eq = []
+    for v in range(1 << len(digits)):
+        words = full
+        for j, d in enumerate(digits):
+            words &= d if v >> j & 1 else ~d
+        eq.append(words)
+    return eq
 
 
 def tutte_polynomial(M) -> TuttePolynomial:
-    """Exact Tutte polynomial of M by the 2^n corank-nullity sum."""
+    """Exact Tutte polynomial of M by the 2^n corank-nullity sum.
+
+    Subset ranks and nullities are summed over all words at once, bit-sliced;
+    cn[a][b] counts the words of corank a and nullity b.  A word whose
+    greedy rank or nullity exceeds that of the ground set means the circuit
+    list is not a matroid's and raises InvalidOrientedMatroid.
+    """
     n, r = M.n, M.rank
     nul = n - r
-    cn = [[0] * (nul + 1) for _ in range(r + 1)]
-    greedy = _subset_greedy(M)
-    oracle_rank = greedy[M.ground_mask].bit_count()
+    planes = _word_planes(n)
+    kept = _kept_planes(M, planes)
+    oracle_rank = sum(k >> M.ground_mask & 1 for k in kept)
     if oracle_rank != r:
         raise InvalidOrientedMatroid(
             "stored rank %d of %s differs from circuit rank %d" % (r, M.name, oracle_rank)
         )
-    for S in range(1 << n):
-        rs = greedy[S].bit_count()
-        cn[r - rs][S.bit_count() - rs] += 1
+    full = (1 << (1 << n)) - 1
+    ranks = _count_planes(kept, full)
+    nullities = _count_planes([P ^ k for (_, P), k in zip(planes, kept)], full)
+    beyond = 0
+    for v in range(r + 1, len(ranks)):
+        beyond |= ranks[v]
+    for v in range(nul + 1, len(nullities)):
+        beyond |= nullities[v]
+    if beyond:
+        S = (beyond & -beyond).bit_length() - 1
+        rs = sum(k >> S & 1 for k in kept)
+        raise InvalidOrientedMatroid(
+            "subset %s (word %d) of %s has greedy rank %d and nullity %d, above the "
+            "rank %d and nullity %d of the ground set"
+            % (set(_elements_of(S)), S, M.name, rs, S.bit_count() - rs, r, nul)
+        )
+    cn = [
+        [(ranks[r - a] & nullities[b]).bit_count() for b in range(nul + 1)]
+        for a in range(r + 1)
+    ]
     coeffs = [[0] * (nul + 1) for _ in range(r + 1)]
     for i in range(r + 1):
         for j in range(nul + 1):

@@ -5,17 +5,23 @@ exact matrix elimination instead of the circuit-greedy oracle, positivity
 checks rebuild per-element signs instead of comparing masks, and class
 structure comes from breadth-first closure instead of a union-find forest.
 
-The exception is the pair cube_minima_ref and sweep_ref: flat loops that
-visit, for each stored set, all 2^(n - |X|) words where it is positive.
-They build the minima tables and the forests in separate loops and pin
-the package's single doubling pass that builds both.  They reuse the
-package's order and forest helpers.
+The exceptions are the per-word loops the package's bitset kernels
+replaced.  cube_minima_ref and sweep_ref visit, for each stored set, all
+2^(n - |X|) words where it is positive, one word at a time; they pin the
+minima tables built from word bitsets and the forests built from class
+edges, and reuse the package's order helpers.
+subset_greedy_ref runs the circuit-greedy rank word by word, and
+tutte_polynomial_ref sums the corank-nullity expansion over it; they pin
+the bit-sliced sum in tutte_polynomial, on any circuit list.
 """
 
 from array import array
 from fractions import Fraction
+from math import comb
 
-from omrev.activity import _classes, _min_bit, _positions, _union_find
+from omrev import InvalidOrientedMatroid, TuttePolynomial
+from omrev.activity import _min_bit, _positions
+from omrev.core import _by_top
 
 
 def matrix_rank(rows, cols):
@@ -47,8 +53,6 @@ def tutte_coeffs_from_matrix(rows, n, rank=None):
     Works directly on matrix ranks; returns (rank, coeffs) in the same
     row-per-x-degree layout the package uses.
     """
-    from math import comb
-
     all_cols = list(range(n))
     r = matrix_rank(rows, all_cols) if rank is None else rank
     nul = n - r
@@ -57,6 +61,12 @@ def tutte_coeffs_from_matrix(rows, n, rank=None):
         cols = [e for e in all_cols if (S >> e) & 1]
         rs = matrix_rank(rows, cols)
         cn[r - rs][len(cols) - rs] += 1
+    return r, _coeffs_of_corank_nullity(cn)
+
+
+def _coeffs_of_corank_nullity(cn):
+    """Tutte coefficients from cn[a][b], the count of subsets of corank a and nullity b."""
+    r, nul = len(cn) - 1, len(cn[0]) - 1
     coeffs = [[0] * (nul + 1) for _ in range(r + 1)]
     for i in range(r + 1):
         for j in range(nul + 1):
@@ -70,7 +80,49 @@ def tutte_coeffs_from_matrix(rows, n, rank=None):
                         * (-1) ** ((a - i) + (b - j))
                     )
             coeffs[i][j] = total
-    return r, coeffs
+    return coeffs
+
+
+def subset_greedy_ref(M):
+    """Greedy independent-set mask for every subset word, by the prefix property.
+
+    Word S keeps the greedy set of S minus its top element and adds that
+    element unless a circuit with the same top element then fits inside.
+    """
+    n = M.n
+    by_top = [[supp for supp, _, _ in group] for group in _by_top(M.circuit_data, n)]
+    greedy = [0] * (1 << n)
+    for S in range(1, 1 << n):
+        top = 1 << (S.bit_length() - 1)
+        prev = greedy[S ^ top]
+        cand = prev | top
+        for c in by_top[top.bit_length() - 1]:
+            if c & cand == c:
+                cand = prev
+                break
+        greedy[S] = cand
+    return greedy
+
+
+def tutte_polynomial_ref(M):
+    """The Tutte polynomial by a per-word corank-nullity sum over subset_greedy_ref.
+
+    Raises InvalidOrientedMatroid when the stored rank is not the ground
+    set's greedy rank, or when some word's greedy rank or nullity exceeds
+    the ground set's; TuttePolynomial itself rejects what is left over.
+    """
+    greedy = subset_greedy_ref(M)
+    r = M.rank
+    nul = M.n - r
+    if greedy[-1].bit_count() != r:
+        raise InvalidOrientedMatroid("stored rank %d is not the circuit rank" % r)
+    cn = [[0] * (nul + 1) for _ in range(r + 1)]
+    for S, kept in enumerate(greedy):
+        rs = kept.bit_count()
+        if rs > r or S.bit_count() - rs > nul:
+            raise InvalidOrientedMatroid("word %d leaves the rank or nullity range" % S)
+        cn[r - rs][S.bit_count() - rs] += 1
+    return TuttePolynomial(r, _coeffs_of_corank_nullity(cn))
 
 
 def positive_in(X, A):
@@ -202,6 +254,37 @@ def cube_minima_ref(M, order=None):
                 B = (B - 1) & comp
         tables.append(table)
     return tuple(tables)
+
+
+def _union_find(parent):
+    """union(a, b) with path halving, on a forest whose pointers go to smaller words."""
+
+    def union(a, b):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+
+    return union
+
+
+def _classes(parent):
+    """(rep_of, class count) of a finished forest, reusing its list.
+
+    Parents are smaller words, so an ascending pass has already resolved
+    each parent's representative when it reaches the child.
+    """
+    count = 0
+    for A, p in enumerate(parent):
+        if p == A:
+            count += 1
+        else:
+            parent[A] = parent[p]
+    return parent, count
 
 
 def sweep_ref(M, generators):

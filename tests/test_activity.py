@@ -118,6 +118,13 @@ class TestMinimalCounts:
             for order in (None,) + tuple(_shuffled_orders(M.n, 2, seed=11)):
                 assert minimal_counts(M, order) == minimal_counts_ref(M, order)
 
+    def test_builds_no_forests(self):
+        # the reversal forests are built only for reversal queries
+        M = get_instance("u35")
+        minimal_counts(M)
+        minimal_counts(M, tuple(range(M.n))[::-1])
+        assert "forests" not in M._cache
+
     @settings(max_examples=20, deadline=None)
     @given(SMALL_MATRICES)
     def test_equals_tutte_evaluations_on_random_matrices(self, rows):

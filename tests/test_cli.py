@@ -156,36 +156,51 @@ class TestAnalyzeFiles:
         [
             # caught by validate's acyclic/cyclic tiling scan, run up to n = 12
             (12, "reorientation 1024 does not split into acyclic and cyclic parts"),
-            # above n = 12 the scan does not run; analyze's count check catches it
+            # above n = 12 the scan does not run; the corank-nullity sum catches it
             (
                 13,
-                "minimal counts (79, 8178, 93, 12, 67) differ from "
-                "the Tutte evaluations (78, 8177, 93, 13, 67)",
+                "subset {10, 11, 12} (word 7168) of instance has greedy rank 3 and "
+                "nullity 0, above the rank 2 and nullity 11 of the ground set",
             ),
         ],
         ids=["n12", "n13"],
     )
     def test_line_missing_a_circuit_exits_1(self, tmp_path, capsys, n, message):
         path = tmp_path / "line.json"
-        path.write_text(json.dumps({"source": _line_missing_a_circuit(n)}))
+        path.write_text(json.dumps({"source": _line(n, drop_circuit=-1)}))
         assert main(["analyze", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    def test_line_missing_a_cocircuit_exits_1(self, tmp_path, capsys):
+        # the circuit list is intact, so the Tutte polynomial is; only the
+        # count check sees that the lists are not an oriented matroid
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"source": _line(13, drop_cocircuit=0)}))
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and (
+            "minimal counts (79, 8179, 92, 13, 66) differ from "
+            "the Tutte evaluations (78, 8178, 92, 12, 66)"
+        ) in err
 
-def _line_missing_a_circuit(n):
-    """U(2, n) points on a line in order, with the last circuit dropped.
+
+def _line(n, drop_circuit=None, drop_cocircuit=None):
+    """U(2, n) points on a line in order, optionally missing one signed set.
 
     Circuit {a < b < c} has parts {a, c} and {b}; the cocircuit of point p
     splits E minus p into the points before and after it.  Dropping one
-    circuit leaves lists that pass the pairwise checks but are not an
-    oriented matroid.
+    set, by its list index, leaves lists that pass the pairwise checks but
+    are not an oriented matroid.
     """
     circuits = [{"pos": [a, c], "neg": [b]} for a, b, c in itertools.combinations(range(n), 3)]
     cocircuits = [
         {"pos": list(range(p)), "neg": list(range(p + 1, n))} for p in range(n)
     ]
-    return {"signed": {"circuits": circuits[:-1], "cocircuits": cocircuits}}
+    for sets, index in ((circuits, drop_circuit), (cocircuits, drop_cocircuit)):
+        if index is not None:
+            del sets[index]
+    return {"signed": {"circuits": circuits, "cocircuits": cocircuits}}
 
 
 class TestVerify:
@@ -294,6 +309,19 @@ class TestWitness:
     def test_rejected_setting_exits_1(self, capsys):
         assert main(["witness", "tri", "--mode", "circuit", "--restriction", "acyclic"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "source",
+        [_line(13, drop_circuit=-1), _line(13, drop_cocircuit=0)],
+        ids=["circuit", "cocircuit"],
+    )
+    def test_line_missing_a_signed_set_exits_1(self, tmp_path, capsys, source):
+        # witness runs the count check that analyze runs, so it prints no pair
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"source": source}))
+        assert main(["witness", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and not captured.out
 
 
 class TestMainContract:

@@ -169,9 +169,9 @@ def _assert_matches_flat_loops(M, *orders):
     """Both kernel tables under the reversed, the identity and any given
     order, then both forests and every setting's partition.
 
-    M must be fresh: the reversed order's pass runs first, so the forests
-    the memo serves come from a non-identity pass, and the later passes
-    must leave that copy in place.
+    M must be fresh: the forests are first built after the reversed
+    order's tables, and the later table builds must leave that memoized
+    copy in place.
     """
     assert not M._cache, M.name
     reversed_order = tuple(range(M.n))[::-1]
@@ -210,6 +210,21 @@ class TestAgainstFlatLoops:
     @given(SMALL_MATRICES)
     def test_random_matrices(self, rows):
         _assert_matches_flat_loops(build_from_matrix(rows))
+
+    def test_seventeen_elements(self):
+        # a coloop and eight parallel pairs: table bits 16 and up fill a
+        # third byte of each entry, and under the reversed order the last
+        # pair's minimum is element 16
+        pairs = [(2 * i + 1, 2 * i + 2) for i in range(8)]
+        M = OrientedMatroid(
+            17,
+            9,
+            [SignedSet((a,), (b,)) for a, b in pairs],
+            [SignedSet((0,))] + [SignedSet((a, b)) for a, b in pairs],
+        )
+        for order in (None, tuple(range(17))[::-1]):
+            assert _cube_minima(M, order) == cube_minima_ref(M, order), order
+        assert _cube_forests(M) == (sweep_ref(M, M.circuit_data), sweep_ref(M, M.cocircuit_data))
 
     def test_unvalidated_and_tiny(self):
         cases = (

@@ -5,6 +5,7 @@ from omrev import (
     EVAL_POINTS,
     InvalidOrientedMatroid,
     OrientedMatroid,
+    SignedSet,
     TuttePolynomial,
     build_from_graph,
     build_from_matrix,
@@ -16,7 +17,9 @@ from omrev import (
     rank,
     tutte_polynomial,
 )
-from oracles import matrix_rank, tutte_coeffs_from_matrix
+from omrev.core import _greedy_rank
+from oracles import matrix_rank, tutte_coeffs_from_matrix, tutte_polynomial_ref
+from test_activity import SMALL_MATRICES
 
 TRIANGLE = [[1, 0, 1], [0, 1, 1]]
 U24_MATRIX = [[1, 0, 1, 1], [0, 1, 1, 2]]
@@ -145,3 +148,40 @@ class TestValidation:
         T = tutte_polynomial(build_uniform(2, 4))
         again = TuttePolynomial.from_json_dict(T.to_json_dict())
         assert again == T and hash(again) == hash(T)
+
+
+def _outcome(polynomial, M):
+    """polynomial(M), or the type of the ValueError it raises."""
+    try:
+        return polynomial(M)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestAgainstPerWordSum:
+    """The bit-sliced corank-nullity sum against the per-word greedy loop."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(SMALL_MATRICES)
+    def test_random_matrices(self, rows):
+        M = build_from_matrix(rows)
+        assert tutte_polynomial(M) == tutte_polynomial_ref(M)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(1, (1 << n) - 1), max_size=8),
+                st.sampled_from((0, 0, 0, -1, 1)),
+            )
+        )
+    )
+    def test_unvalidated_circuit_lists(self, case):
+        # any supports, comparable or not; the stored rank is mostly the
+        # greedy rank of the ground set and sometimes off by one
+        n, supports, shift = case
+        rank = _greedy_rank(supports, (1 << n) - 1) + shift
+        circuits = [SignedSet([e for e in range(n) if s >> e & 1]) for s in supports]
+        M = OrientedMatroid(n, rank, circuits, [])
+        assert _outcome(tutte_polynomial, M) == _outcome(tutte_polynomial_ref, M)
