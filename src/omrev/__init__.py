@@ -15,6 +15,7 @@ from .activity import (
     activity_classes,
     activity_report,
     active_partition,
+    greedy_ends,
     greedy_minimalize,
     is_minimal,
     minimal_counts,

@@ -28,7 +28,14 @@ bitset over the 2^n words.  The bitsets of the sets whose order-minimum
 is e are ORed into one bitset per element, and _bit_table turns the n
 bitsets into one array entry per word.  Entry bits are the (dual-)active
 elements, a zero entry means no positive set of that kind, and
-A & entry == 0 means A is minimal for that kind.
+A & entry == 0 means A is minimal for that kind.  The same pass keeps, per
+kind, the bitsets of the words with a nonzero entry and of those with
+A & entry nonzero; minimal_counts is popcounts of them.
+
+greedy_ends gives the endpoint of the greedy walk from every word at
+once: the supports, in the walk's key order, claim the words where the
+walk flips them, _bit_table turns the claims into one step list, and
+pointer doubling composes it.
 
 _cube_forests builds the circuit/all and cocircuit/all reversal
 partitions, once per M and for no order, as lists mapping each word to
@@ -134,8 +141,19 @@ def _cube_minima(M, order=None):
     kind that are positive at A.  Per element e, the words where e is the
     minimum of some positive set form the OR of those sets'
     _positive_words; _bit_table turns the n bitsets into the table.
-    Memoized on M; equal orders share one entry whatever their sequence
-    type.
+    Memoized on M by _cube; equal orders share one entry whatever their
+    sequence type.
+    """
+    return _cube(M, order)[0]
+
+
+def _cube(M, order):
+    """(_cube_minima tables, (held, positive) bitsets of each kind).
+
+    The bitsets are over the 2^n words, circuits first: "positive" holds
+    the words where the kind's table entry is nonzero, i.e. with some
+    positive set of that kind, and "held" those where A & entry is
+    nonzero, i.e. that hold the order-minimum of one.
     """
     positions = _positions(M.n, order)
     key = ("cube", positions if positions is None else tuple(positions))
@@ -144,13 +162,19 @@ def _cube_minima(M, order=None):
         return hit
     planes = _word_planes(M.n)
     tables = []
+    bits = []
     for data in (M.circuit_data, M.cocircuit_data):
         hits = [0] * M.n
         for supp, pos, neg in data:
             e = _min_bit(supp, positions).bit_length() - 1
             hits[e] |= _positive_words(planes, supp, pos, neg)
         tables.append(_bit_table(hits, M.n))
-    hit = M._cache[key] = tuple(tables)
+        held = positive = 0
+        for (_, P), words in zip(planes, hits):
+            held |= words & P
+            positive |= words
+        bits += [held, positive]
+    hit = M._cache[key] = (tuple(tables), tuple(bits))
     return hit
 
 
@@ -299,18 +323,13 @@ def minimal_counts(M, order=None):
          acyclic cocircuit minimal, totally cyclic circuit minimal).
 
     These equal the Tutte evaluations t(1,1), t(1,2), t(2,1), t(1,0),
-    t(0,1) for every oriented matroid and every ground order.
+    t(0,1) for every oriented matroid and every ground order.  Each count
+    is 2^n less the popcount of the words it excludes, read from the
+    bitsets _cube keeps next to the tables.
     """
-    c_both = c_co = c_ci = c_ac = c_tc = 0
-    for A, act, dact in zip(range(1 << M.n), *_cube_minima(M, order)):
-        circ_min = not A & act
-        coc_min = not A & dact
-        c_both += circ_min and coc_min
-        c_co += coc_min
-        c_ci += circ_min
-        c_ac += coc_min and not act
-        c_tc += circ_min and not dact
-    return (c_both, c_co, c_ci, c_ac, c_tc)
+    held_c, positive_c, held_d, positive_d = _cube(M, order)[1]
+    excluded = (held_c | held_d, held_d, held_c, held_d | positive_c, held_c | positive_d)
+    return tuple((1 << M.n) - words.bit_count() for words in excluded)
 
 
 def greedy_minimalize(M, A: int, order=None) -> int:
@@ -326,7 +345,7 @@ def greedy_minimalize(M, A: int, order=None) -> int:
     toggles only larger elements, so the set falls strictly in the
     lexicographic ranking of words read from the order's smallest element
     first.  The walk therefore stops within 2**n - 1 flips on any input,
-    valid oriented matroid or not.
+    valid oriented matroid or not.  greedy_ends walks every word at once.
     """
     _check_reorientation(M, A)
     positions = _positions(M.n, order)
@@ -340,6 +359,43 @@ def greedy_minimalize(M, A: int, order=None) -> int:
         # ascending position lists: comparing these lexicographically is
         # "smallest minimum first, ties by lex-smallest support"
         B ^= min(candidates, key=lambda supp: sorted(map(key, _elements_of(supp))))
+
+
+def greedy_ends(M, order=None):
+    """List whose entry A is greedy_minimalize(M, A, order), for every word A.
+
+    The distinct supports of both kinds are visited in the walk's key
+    order; each claims the words, not yet claimed, where it is positive
+    and that hold its order-minimum, which are the words where the walk
+    flips it.  _bit_table turns the claims into one flip mask per word, so
+    one step of the walk is a list, and pointer doubling composes it with
+    itself.  Every walk stops within 2^n - 1 flips, so n doublings reach
+    the endpoints and one more must change nothing.
+    """
+    positions = _positions(M.n, order)
+    key = _element_key(positions)
+    planes = _word_planes(M.n)
+    by_support = {}
+    for t in M.circuit_data + M.cocircuit_data:
+        by_support.setdefault(t[0], []).append(t)
+    claimed = 0
+    hits = [0] * M.n
+    for supp in sorted(by_support, key=lambda supp: sorted(map(key, _elements_of(supp)))):
+        positive = 0
+        for t in by_support[supp]:
+            positive |= _positive_words(planes, *t)
+        mine = positive & planes[_min_bit(supp, positions).bit_length() - 1][1] & ~claimed
+        if mine:
+            claimed |= mine
+            for e in _elements_of(supp):
+                hits[e] |= mine
+    end = list(map(int.__xor__, range(1 << M.n), _bit_table(hits, M.n)))
+    for _ in range(M.n + 1):
+        later = list(map(end.__getitem__, end))
+        if later == end:
+            return end
+        end = later
+    raise RuntimeError("greedy walks of %s did not stop within 2^%d flips" % (M.name, M.n))
 
 
 class ActivePart:

@@ -482,14 +482,49 @@ def _incomparability_failures(kind, sets):
     return []
 
 
+def _orthogonality_failures(M):
+    """The first circuit, and its first cocircuit, in list order that are
+    not orthogonal, as a failure line.
+
+    X and Y are orthogonal when their signs agree somewhere on the common
+    support iff they differ somewhere.  Per element, bitsets over the
+    cocircuit list mark the cocircuits holding it positively and
+    negatively; ORed over a circuit's signed elements they give the
+    cocircuits that agree with it somewhere and those that differ, and the
+    pairs that fail are in exactly one of the two.
+    """
+    positive = [0] * M.n
+    negative = [0] * M.n
+    for i, (_, pos, neg) in enumerate(M.cocircuit_data):
+        for e in _elements_of(pos):
+            positive[e] |= 1 << i
+        for e in _elements_of(neg):
+            negative[e] |= 1 << i
+    for X, (_, pos, neg) in zip(M.circuits, M.circuit_data):
+        agree = differ = 0
+        for e in _elements_of(pos):
+            agree |= positive[e]
+            differ |= negative[e]
+        for e in _elements_of(neg):
+            agree |= negative[e]
+            differ |= positive[e]
+        bad = agree ^ differ
+        if bad:
+            Y = M.cocircuits[(bad & -bad).bit_length() - 1]
+            return ["orthogonality fails for circuit %r and cocircuit %r" % (X, Y)]
+    return []
+
+
 def validate(M: OrientedMatroid) -> ValidationReport:
     """Check the stored lists against the representation invariants.
 
     Covers canonical form and sign-part disjointness, element range,
     support incomparability within each list, circuit/cocircuit sign
-    orthogonality, rank duality between the two lists, and (for n <= 12)
-    that every reorientation splits the ground set into its acyclic and
-    cyclic parts.  Each failed check reports its first counterexample.
+    orthogonality, rank duality between the two lists, and that every
+    reorientation splits the ground set into its acyclic and cyclic parts
+    (Bjorner et al., Oriented Matroids, section 3.4).  Each failed check
+    reports its first counterexample; the tiling check, which reads every
+    word, runs only once the others pass.
     """
     failures = []
     for kind, sets in (("circuit", M.circuits), ("cocircuit", M.cocircuits)):
@@ -508,19 +543,7 @@ def validate(M: OrientedMatroid) -> ValidationReport:
                 break
         failures.extend(_incomparability_failures(kind, list(sets)))
 
-    for X in M.circuits:
-        stop = False
-        for Y in M.cocircuits:
-            agree = (X.pos_mask & Y.pos_mask) | (X.neg_mask & Y.neg_mask)
-            differ = (X.pos_mask & Y.neg_mask) | (X.neg_mask & Y.pos_mask)
-            if (agree | differ) and (not agree or not differ):
-                failures.append(
-                    "orthogonality fails for circuit %r and cocircuit %r" % (X, Y)
-                )
-                stop = True
-                break
-        if stop:
-            break
+    failures.extend(_orthogonality_failures(M))
 
     circ_rank = _greedy_rank([s for s, _, _ in M.circuit_data], M.ground_mask)
     cocirc_rank = _greedy_rank([s for s, _, _ in M.cocircuit_data], M.ground_mask)
@@ -532,15 +555,39 @@ def validate(M: OrientedMatroid) -> ValidationReport:
     if M.rank != circ_rank:
         failures.append("stored rank %d differs from circuit rank %d" % (M.rank, circ_rank))
 
-    if M.n <= 12 and not failures:
-        for A in range(1 << M.n):
-            acyc, cyc = _part_masks(M, A)
-            if (acyc & cyc) or (acyc | cyc) != M.ground_mask:
-                failures.append(
-                    "reorientation %d does not split into acyclic and cyclic parts" % A
-                )
-                break
+    if not failures:
+        A = _untiled_word(M)
+        if A is not None:
+            failures.append(
+                "reorientation %d does not split into acyclic and cyclic parts" % A
+            )
     return ValidationReport(not failures, failures)
+
+
+def _untiled_word(M):
+    """The lowest word A where -_A M does not split into acyclic and cyclic
+    parts, or None when every word does.
+
+    One pass per stored kind: cyclic[e] (acyclic[e]) ORs the _positive_words
+    of the circuits (cocircuits) whose support holds e, so bit A is set iff
+    e lies in the cyclic (acyclic) part at A.  A word splits iff, for every
+    e, exactly one of the two holds it.
+    """
+    planes = _word_planes(M.n)
+    parts = []
+    for data in (M.circuit_data, M.cocircuit_data):
+        held = [0] * M.n
+        for supp, pos, neg in data:
+            words = _positive_words(planes, supp, pos, neg)
+            for e in _elements_of(supp):
+                held[e] |= words
+        parts.append(held)
+    full = (1 << (1 << M.n)) - 1
+    split = full
+    for cyclic, acyclic in zip(*parts):
+        split &= cyclic ^ acyclic
+    bad = full ^ split
+    return (bad & -bad).bit_length() - 1 if bad else None
 
 
 def dual(M: OrientedMatroid) -> OrientedMatroid:

@@ -13,6 +13,9 @@ edges, and reuse the package's order helpers.
 subset_greedy_ref runs the circuit-greedy rank word by word, and
 tutte_polynomial_ref sums the corank-nullity expansion over it; they pin
 the bit-sliced sum in tutte_polynomial, on any circuit list.
+tiling_ref scans the acyclic/cyclic split word by word, and
+orthogonality_ref compares every circuit with every cocircuit; they pin
+the bitset checks in validate, on any lists.
 """
 
 from array import array
@@ -176,6 +179,39 @@ def bfs_classes(M, mode="both", restriction="all"):
                     queue.append(B)
         classes.append(sorted(comp))
     return sorted(classes)
+
+
+def tiling_ref(M):
+    """The lowest word A whose acyclic and cyclic parts do not tile the
+    ground set, or None.
+
+    The acyclic part of -_A M is the union of the positive cocircuit
+    supports, the cyclic part that of the positive circuit supports; they
+    tile when they are disjoint and cover every element.
+    """
+    for A in range(1 << M.n):
+        acyclic = cyclic = 0
+        for X in M.cocircuits:
+            if positive_in(X, A):
+                acyclic |= X.support_mask
+        for X in M.circuits:
+            if positive_in(X, A):
+                cyclic |= X.support_mask
+        if acyclic & cyclic or acyclic | cyclic != M.ground_mask:
+            return A
+    return None
+
+
+def orthogonality_ref(M):
+    """The first (circuit, cocircuit) pair in list order whose signs agree
+    somewhere on the common support but never differ, or the reverse;
+    None when every pair is orthogonal."""
+    for X in M.circuits:
+        for Y in M.cocircuits:
+            signs = {X.sign(e) * Y.sign(e) for e in X.support & Y.support}
+            if len(signs) == 1:
+                return X, Y
+    return None
 
 
 def minimum_under(elements, order):

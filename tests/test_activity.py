@@ -12,10 +12,13 @@ from omrev import (
     active_partition,
     activity_classes,
     activity_report,
+    build_from_graph,
     build_from_matrix,
+    build_uniform,
     catalog_instances,
     dual,
     get_instance,
+    greedy_ends,
     greedy_minimalize,
     is_minimal,
     minimal_counts,
@@ -113,8 +116,7 @@ class TestMinimalCounts:
                 assert minimal_counts(M, order) == base
 
     def test_matches_reference_with_orders(self):
-        for name in ("tri", "u24"):
-            M = get_instance(name)
+        for M in _catalog_and_duals():
             for order in (None,) + tuple(_shuffled_orders(M.n, 2, seed=11)):
                 assert minimal_counts(M, order) == minimal_counts_ref(M, order)
 
@@ -161,8 +163,17 @@ class TestGreedyMinimalize:
         for M in _catalog_and_duals():
             orders = [None, tuple(reversed(range(M.n)))] + _shuffled_orders(M.n, 1, seed=11)
             for order in orders:
+                ends = greedy_ends(M, order)
                 for A in range(1 << M.n):
-                    assert greedy_minimalize(M, A, order) == greedy_minimalize_ref(M, A, order)
+                    B = greedy_minimalize(M, A, order)
+                    assert B == greedy_minimalize_ref(M, A, order) == ends[A]
+
+    def test_ends_match_the_walk_at_n9_and_n10(self):
+        K5 = build_from_graph([(i, j) for i in range(5) for j in range(i + 1, 5)], name="K5")
+        for M, order in ((build_uniform(3, 9), None), (K5, _shuffled_orders(10, 1, seed=5)[0])):
+            ends = greedy_ends(M, order)
+            for A in range(1 << M.n):
+                assert ends[A] == greedy_minimalize(M, A, order) == greedy_minimalize_ref(M, A, order)
 
     def test_stops_on_unvalidated_input(self):
         # X_m = (+m, -(m+1..n-1)) is the only candidate while m is the
@@ -174,6 +185,8 @@ class TestGreedyMinimalize:
         )
         assert greedy_minimalize(counter, counter.ground_mask) == 0
         assert greedy_minimalize_ref(counter, counter.ground_mask) == 0
+        # the longest walk the doubling in greedy_ends has to resolve
+        assert greedy_ends(counter) == [0] * (1 << n)
         rng = random.Random(3)
         for _ in range(20):
             sets = []
@@ -186,10 +199,11 @@ class TestGreedyMinimalize:
             junk = OrientedMatroid(7, 3, sets[:6], sets[6:], "junk")
             order = list(range(7))
             rng.shuffle(order)
+            ends = greedy_ends(junk, order)
             for A in range(1 << junk.n):
                 B = greedy_minimalize(junk, A, order)
                 assert is_minimal_ref(junk, B, "both", order)
-                assert B == greedy_minimalize_ref(junk, A, order)
+                assert B == greedy_minimalize_ref(junk, A, order) == ends[A]
 
 
 class TestActivePartition:

@@ -9,7 +9,17 @@ from pathlib import Path
 import pytest
 
 import omrev
-from omrev import build_uniform, get_instance
+from omrev import (
+    MAX_ELEMENTS,
+    InvalidOrientedMatroid,
+    OrientedMatroid,
+    SignedSet,
+    build_uniform,
+    get_entry,
+    get_instance,
+    tutte_polynomial,
+)
+from omrev import cli
 from omrev.catalog import CatalogEntry, Expected
 from omrev.cli import (
     AnalysisReport,
@@ -152,37 +162,51 @@ class TestAnalyzeFiles:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "n, message",
-        [
-            # caught by validate's acyclic/cyclic tiling scan, run up to n = 12
-            (12, "reorientation 1024 does not split into acyclic and cyclic parts"),
-            # above n = 12 the scan does not run; the corank-nullity sum catches it
-            (
-                13,
-                "subset {10, 11, 12} (word 7168) of instance has greedy rank 3 and "
-                "nullity 0, above the rank 2 and nullity 11 of the ground set",
-            ),
-        ],
-        ids=["n12", "n13"],
+        "n, word", [(12, 1024), (13, 2048)], ids=["n12", "n13"]
     )
-    def test_line_missing_a_circuit_exits_1(self, tmp_path, capsys, n, message):
+    def test_line_missing_a_circuit_exits_1(self, tmp_path, capsys, n, word):
+        # caught by validate's acyclic/cyclic tiling check, which runs at every n
         path = tmp_path / "line.json"
         path.write_text(json.dumps({"source": _line(n, drop_circuit=-1)}))
         assert main(["analyze", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
+        assert err.startswith("error:")
+        assert "reorientation %d does not split into acyclic and cyclic parts" % word in err
 
     def test_line_missing_a_cocircuit_exits_1(self, tmp_path, capsys):
-        # the circuit list is intact, so the Tutte polynomial is; only the
-        # count check sees that the lists are not an oriented matroid
         path = tmp_path / "line.json"
         path.write_text(json.dumps({"source": _line(13, drop_cocircuit=0)}))
         assert main(["analyze", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and (
+        assert err.startswith("error:")
+        assert "reorientation 0 does not split into acyclic and cyclic parts" in err
+
+
+class TestChecksBehindValidate:
+    """The checks analyze runs after the build, on lists validate never saw."""
+
+    def test_tutte_range_check(self):
+        # the corank-nullity sum rejects a circuit list no matroid has
+        M = _unvalidated(_line(13, drop_circuit=-1), rank=2)
+        message = (
+            "subset {10, 11, 12} (word 7168) of line has greedy rank 3 and "
+            "nullity 0, above the rank 2 and nullity 11 of the ground set"
+        )
+        for call in (tutte_polynomial, analyze_instance):
+            with pytest.raises(InvalidOrientedMatroid) as err:
+                call(M)
+            assert str(err.value) == message
+
+    def test_minimal_counts_check(self):
+        # the circuit list is intact, so the Tutte polynomial is; only the
+        # count check sees that the lists are not an oriented matroid
+        M = _unvalidated(_line(13, drop_cocircuit=0), rank=2)
+        with pytest.raises(InvalidOrientedMatroid) as err:
+            analyze_instance(M)
+        assert str(err.value) == (
             "minimal counts (79, 8179, 92, 13, 66) differ from "
-            "the Tutte evaluations (78, 8178, 92, 12, 66)"
-        ) in err
+            "the Tutte evaluations (78, 8178, 92, 12, 66) of line"
+        )
 
 
 def _line(n, drop_circuit=None, drop_cocircuit=None):
@@ -201,6 +225,64 @@ def _line(n, drop_circuit=None, drop_cocircuit=None):
         if index is not None:
             del sets[index]
     return {"signed": {"circuits": circuits, "cocircuits": cocircuits}}
+
+
+def _cycle(n, drop_cut=None):
+    """A directed n-cycle, edge j from vertex j to j + 1 mod n.
+
+    The one circuit is the whole cycle, all positive; each cut {i < j}
+    takes one edge into a vertex arc and one out, so its signs differ.
+    drop_cut leaves one cut out.
+    """
+    cuts = [
+        {"pos": [i], "neg": [j]}
+        for i, j in itertools.combinations(range(n), 2)
+        if (i, j) != drop_cut
+    ]
+    return {"signed": {"circuits": [{"pos": list(range(n))}], "cocircuits": cuts}}
+
+
+def _unvalidated(source, rank):
+    """The OrientedMatroid named line of a "signed" source, built without validate."""
+    circuits, cocircuits = (
+        [SignedSet(X.get("pos", ()), X.get("neg", ())) for X in source["signed"][kind]]
+        for kind in ("circuits", "cocircuits")
+    )
+    n = 1 + max(max(X.support) for X in circuits + cocircuits)
+    return OrientedMatroid(n, rank, circuits, cocircuits, "line")
+
+
+# signed lists that pass every check but the acyclic/cyclic tiling, with
+# the lowest word where the tiling fails
+NOT_ORIENTED = [
+    # the middle point's cocircuit is missing; the circuits fix it
+    (_line(13, drop_cocircuit=6), 63),
+    # a directed cycle missing the cut of two of its edges, at n = 14 and
+    # at the largest n accepted
+    (_cycle(14, drop_cut=(5, 9)), 32),
+    (_cycle(MAX_ELEMENTS, drop_cut=(7, 12)), 128),
+]
+
+
+@pytest.mark.parametrize("command", ["analyze", "witness"])
+@pytest.mark.parametrize("source, word", NOT_ORIENTED, ids=["line13", "cycle14", "cycle20"])
+def test_tiling_rejects_lists_that_pass_the_other_checks(tmp_path, capsys, command, source, word):
+    path = tmp_path / "not-oriented.json"
+    path.write_text(json.dumps({"source": source}))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (
+        "error: reorientation %d does not split into acyclic and cyclic parts\n" % word
+    )
+
+
+def test_cycle_with_every_cut_is_accepted(tmp_path):
+    # the lists NOT_ORIENTED drops a cut from are an oriented matroid
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"source": _cycle(14)}))
+    code, text = _run(cmd_witness, str(path))
+    assert code == 0 and "no two minimal reorientations share a class" in text
 
 
 class TestVerify:
@@ -231,6 +313,24 @@ class TestVerify:
         code, text = _run(cmd_verify, entries=[bad])
         assert code == 2
         assert "FAIL" in text and "regularity tag" in text
+
+    @pytest.mark.parametrize(
+        "name, end, detail",
+        [
+            # every walk "ends" at a word that is not minimal
+            ("tri", 0b111, "A=0 gave B=7"),
+            # at a minimal word, outside the class of A = 2
+            ("u24", 0, "A=2 gave B=0"),
+        ],
+    )
+    def test_greedy_walk_failure(self, monkeypatch, name, end, detail):
+        monkeypatch.setattr(cli, "greedy_ends", lambda M, order=None: [end] * (1 << M.n))
+        code, text = _run(cmd_verify, entries=[get_entry(name)])
+        assert code == 2
+        assert text.splitlines()[-1] == (
+            "FAIL %s: greedy walk reaches a minimal reorientation of the same class (%s)"
+            % (name, detail)
+        )
 
     def test_corrupted_expected_table_fails(self):
         bad = CatalogEntry(

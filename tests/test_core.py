@@ -18,6 +18,8 @@ from omrev import (
     positive_sets,
     validate,
 )
+from omrev.core import _untiled_word
+from oracles import orthogonality_ref, tiling_ref
 
 TRIANGLE = [[1, 0, 1], [0, 1, 1]]
 U24_MATRIX = [[1, 0, 1, 1], [0, 1, 1, 2]]
@@ -282,6 +284,73 @@ class TestValidate:
                 if not expected and (a & b == a or a & b == b):
                     expected = ["circuit supports are comparable: %r vs %r" % (X, Y)]
         assert [f for f in validate(M).failures if "comparable" in f] == expected
+
+
+def _tiling_failures(M):
+    """The tiling line validate must report, from the per-word scan.
+
+    validate runs the tiling check only once every other check passes.
+    """
+    others = [f for f in validate(M).failures if "does not split" not in f]
+    A = tiling_ref(M)
+    if others or A is None:
+        return []
+    return ["reorientation %d does not split into acyclic and cyclic parts" % A]
+
+
+# n, then (support, negative part) pairs for the circuits and the cocircuits
+_UNVALIDATED_LISTS = st.integers(1, 10).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        *(
+            st.lists(
+                st.tuples(st.integers(1, (1 << n) - 1), st.integers(0, (1 << n) - 1)),
+                max_size=8,
+            )
+            for _ in range(2)
+        ),
+    )
+)
+
+
+class TestBitsetChecksAgainstScans:
+    """validate's bitset tiling and orthogonality checks against the
+    per-word scan tiling_ref and the pairwise scan orthogonality_ref."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_UNVALIDATED_LISTS)
+    def test_random_unvalidated_lists(self, case):
+        n, *lists = case
+        circuits, cocircuits = (
+            [SignedSet(supp & ~neg, supp & neg) for supp, neg in sets] for sets in lists
+        )
+        M = OrientedMatroid(n, 0, circuits, cocircuits)
+        failures = validate(M).failures
+        assert _untiled_word(M) == tiling_ref(M)
+        assert [f for f in failures if "does not split" in f] == _tiling_failures(M)
+        pair = orthogonality_ref(M)
+        assert [f for f in failures if "orthogonality" in f] == (
+            [] if pair is None else ["orthogonality fails for circuit %r and cocircuit %r" % pair]
+        )
+
+    def test_catalog_and_one_set_dropped(self):
+        # dropping one stored set often leaves lists that pass every other
+        # check, so validate's own tiling line is compared here
+        from test_activity import _catalog_and_duals
+
+        rejected = 0
+        for M in _catalog_and_duals():
+            assert _untiled_word(M) is None and tiling_ref(M) is None, M.name
+            for kind in ("circuits", "cocircuits"):
+                sets = getattr(M, kind)
+                for i in range(len(sets)):
+                    kept = sets[:i] + sets[i + 1 :]
+                    lists = (kept, M.cocircuits) if kind == "circuits" else (M.circuits, kept)
+                    D = OrientedMatroid(M.n, M.rank, *lists, M.name)
+                    tiling = [f for f in validate(D).failures if "does not split" in f]
+                    assert tiling == _tiling_failures(D), (M.name, kind, i)
+                    rejected += bool(tiling)
+        assert rejected > 0
 
 
 class TestDual:
