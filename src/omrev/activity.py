@@ -332,7 +332,7 @@ def minimal_counts(M, order=None):
     return tuple((1 << M.n) - words.bit_count() for words in excluded)
 
 
-def greedy_minimalize(M, A: int, order=None) -> int:
+def greedy_minimalize(M, A=None, order=None):
     """Walk A down to a circuit-cocircuit minimal reorientation of its class.
 
     While some positive circuit or cocircuit has its support minimum inside
@@ -345,8 +345,13 @@ def greedy_minimalize(M, A: int, order=None) -> int:
     toggles only larger elements, so the set falls strictly in the
     lexicographic ranking of words read from the order's smallest element
     first.  The walk therefore stops within 2**n - 1 flips on any input,
-    valid oriented matroid or not.  greedy_ends walks every word at once.
+    valid oriented matroid or not.
+
+    With A omitted, walk every word at once: the result is greedy_ends(M,
+    order), the list of every word's endpoint.
     """
+    if A is None:
+        return greedy_ends(M, order)
     _check_reorientation(M, A)
     positions = _positions(M.n, order)
     key = _element_key(positions)

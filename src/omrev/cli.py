@@ -24,7 +24,6 @@ from . import catalog as _catalog
 from .activity import (
     _cube_minima,
     activity_report,
-    greedy_ends,
     greedy_minimalize,
     is_minimal,
     minimal_counts,
@@ -39,9 +38,6 @@ from .reversal import (
     same_class,
 )
 from .tutte import TuttePolynomial, evaluations, tutte_polynomial
-
-# greedy_minimalize, is_minimal and same_class are not called here; the
-# benchmark's tracer (bench/spans.py) wraps them under these cli names
 
 WARN_ELEMENTS = 16
 
@@ -301,7 +297,10 @@ def _verify_entry(entry, stream):
 
     T = tutte_polynomial(M)
     evals = evaluations(T)
-    counts = reversal_counts(M)
+    # each setting's partition is built once; the greedy-walk check below
+    # reads the both/all one
+    partitions = [reversal_classes(M, mode, restriction) for _, mode, restriction, _ in SETTINGS]
+    counts = tuple(P.class_count for P in partitions)
     mins = minimal_counts(M)
 
     for key, computed in (
@@ -319,7 +318,7 @@ def _verify_entry(entry, stream):
             checked += 1
     exp = entry.expected.get("acyclic_cocircuit_classes")
     if exp is not None:
-        got = reversal_classes(M, "cocircuit", "acyclic").class_count
+        got = counts[3]  # SETTINGS order: acyclic cocircuit
         check(
             "expected acyclic cocircuit class count matches",
             exp.value == got,
@@ -360,14 +359,16 @@ def _verify_entry(entry, stream):
             checked += 1
 
     # every word's walk ends at a minimal word (read from the minima
-    # tables) of its own both/all class; the first failing word is looked
-    # for only on failure
-    ends = greedy_ends(M)
+    # tables) of its own both/all class; only on failure is the first
+    # failing word looked for, word by word
+    ends = greedy_minimalize(M)
     circ, cocirc = _cube_minima(M)
-    rep = reversal_classes(M, "both", "all").rep_of
+    rep = partitions[0].rep_of
     if any(B & (circ[B] | cocirc[B]) for B in set(ends)) or list(map(rep.__getitem__, ends)) != rep:
         A = next(
-            A for A, B in enumerate(ends) if B & (circ[B] | cocirc[B]) or rep[B] != rep[A]
+            A
+            for A, B in enumerate(ends)
+            if not is_minimal(M, B, "both") or not same_class(M, A, B, "both", "all")
         )
         check(
             "greedy walk reaches a minimal reorientation of the same class",

@@ -164,6 +164,7 @@ class TestGreedyMinimalize:
             orders = [None, tuple(reversed(range(M.n)))] + _shuffled_orders(M.n, 1, seed=11)
             for order in orders:
                 ends = greedy_ends(M, order)
+                assert greedy_minimalize(M, order=order) == ends
                 for A in range(1 << M.n):
                     B = greedy_minimalize(M, A, order)
                     assert B == greedy_minimalize_ref(M, A, order) == ends[A]

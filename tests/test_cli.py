@@ -197,16 +197,28 @@ class TestChecksBehindValidate:
                 call(M)
             assert str(err.value) == message
 
+    COUNTS_MESSAGE = (
+        "minimal counts (79, 8179, 92, 13, 66) differ from "
+        "the Tutte evaluations (78, 8178, 92, 12, 66) of line"
+    )
+
     def test_minimal_counts_check(self):
         # the circuit list is intact, so the Tutte polynomial is; only the
         # count check sees that the lists are not an oriented matroid
         M = _unvalidated(_line(13, drop_cocircuit=0), rank=2)
         with pytest.raises(InvalidOrientedMatroid) as err:
             analyze_instance(M)
-        assert str(err.value) == (
-            "minimal counts (79, 8179, 92, 13, 66) differ from "
-            "the Tutte evaluations (78, 8178, 92, 12, 66) of line"
-        )
+        assert str(err.value) == self.COUNTS_MESSAGE
+
+    def test_witness_runs_the_minimal_counts_check(self, tmp_path, monkeypatch, capsys):
+        # the file's loader is replaced so validate never sees the lists
+        M = _unvalidated(_line(13, drop_cocircuit=0), rank=2)
+        monkeypatch.setattr(cli, "load_instance_file", lambda path: M)
+        path = tmp_path / "line.json"
+        path.write_text("{}")
+        assert main(["witness", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s\n" % self.COUNTS_MESSAGE and not captured.out
 
 
 def _line(n, drop_circuit=None, drop_cocircuit=None):
@@ -324,7 +336,8 @@ class TestVerify:
         ],
     )
     def test_greedy_walk_failure(self, monkeypatch, name, end, detail):
-        monkeypatch.setattr(cli, "greedy_ends", lambda M, order=None: [end] * (1 << M.n))
+        # cli walks every word at once through greedy_minimalize(M)
+        monkeypatch.setattr(cli, "greedy_minimalize", lambda M: [end] * (1 << M.n))
         code, text = _run(cmd_verify, entries=[get_entry(name)])
         assert code == 2
         assert text.splitlines()[-1] == (
@@ -416,7 +429,8 @@ class TestWitness:
         ids=["circuit", "cocircuit"],
     )
     def test_line_missing_a_signed_set_exits_1(self, tmp_path, capsys, source):
-        # witness runs the count check that analyze runs, so it prints no pair
+        # validate's tiling check rejects both files at load time;
+        # TestChecksBehindValidate covers the checks that come after it
         path = tmp_path / "line.json"
         path.write_text(json.dumps({"source": source}))
         assert main(["witness", str(path)]) == 1
