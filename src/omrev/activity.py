@@ -42,9 +42,18 @@ partitions, once per M and for no order, as lists mapping each word to
 its class minimum.  They grow one element at a time: a set whose largest
 element is k never reads or flips bit k+1 or above, so the partition over
 bits 0..k-1 is doubled onto the words with bit k set, and only then do
-the sets with top element k join classes.  Their generator pairs, sum
-over X of 2^(max X + 1 - |X|) in all, are read through the class list as
-class edges, and only the distinct edges are united.
+the sets with top element k join classes, by the distinct class edges of
+their generator pairs.  No set reads all of its pairs.  A set is positive
+at A iff it is positive at the complement of A, so complementing bits
+0..k-1 maps classes to classes and each pair to a pair: half the pairs
+give every edge.  A set whose half has more words than its stage has
+classes, while those are at most _PEEL_CLASSES, peels classes off the
+half as bitsets, one big-int step per distinct class and edge; the others
+read their half word by word.  The class counts come from the merges.
+
+When validate ran on M, its tiling pass has already ORed every stored
+set's positive words into the bitset of the set's lowest element; _cube
+takes those for the identity order instead of computing them again.
 
 One-word queries are views over core._positive, which lists the stored
 sets of one kind that are positive at a word; they never build the
@@ -57,6 +66,7 @@ import sys
 from array import array
 
 from .core import (
+    LOWEST_WORDS,
     InvalidOrientedMatroid,
     _by_top,
     _check_reorientation,
@@ -97,11 +107,6 @@ def _min_bit(supp_mask, positions):
     if positions is None:
         return supp_mask & -supp_mask
     return 1 << min(_elements_of(supp_mask), key=positions.__getitem__)
-
-
-def _class_count(rep):
-    """Number of classes of a representative list: the words that are their own."""
-    return sum(map(int.__eq__, rep, range(len(rep))))
 
 
 # bytes per table entry, and per lane bit j the translation of binary
@@ -153,7 +158,9 @@ def _cube(M, order):
     The bitsets are over the 2^n words, circuits first: "positive" holds
     the words where the kind's table entry is nonzero, i.e. with some
     positive set of that kind, and "held" those where A & entry is
-    nonzero, i.e. that hold the order-minimum of one.
+    nonzero, i.e. that hold the order-minimum of one.  The identity
+    order's per-element bitsets are the ones validate's tiling pass left
+    on M, when it ran; they are taken off the memo once read.
     """
     positions = _positions(M.n, order)
     key = ("cube", positions if positions is None else tuple(positions))
@@ -161,13 +168,19 @@ def _cube(M, order):
     if hit is not None:
         return hit
     planes = _word_planes(M.n)
+    # validate's tiling pass leaves the identity order's bitsets on M
+    per_kind = M._cache.pop(LOWEST_WORDS, None) if positions is None else None
+    if per_kind is None:
+        per_kind = []
+        for data in (M.circuit_data, M.cocircuit_data):
+            hits = [0] * M.n
+            for supp, pos, neg in data:
+                e = _min_bit(supp, positions).bit_length() - 1
+                hits[e] |= _positive_words(planes, supp, pos, neg)
+            per_kind.append(hits)
     tables = []
     bits = []
-    for data in (M.circuit_data, M.cocircuit_data):
-        hits = [0] * M.n
-        for supp, pos, neg in data:
-            e = _min_bit(supp, positions).bit_length() - 1
-            hits[e] |= _positive_words(planes, supp, pos, neg)
+    for hits in per_kind:
         tables.append(_bit_table(hits, M.n))
         held = positive = 0
         for (_, P), words in zip(planes, hits):
@@ -179,7 +192,7 @@ def _cube(M, order):
 
 
 def _joined(rep, edges):
-    """rep with the classes at the two ends of each edge merged.
+    """(rep with the classes at the two ends of each edge merged, merges).
 
     rep maps each word to its class minimum and every edge end is a class
     minimum, so rep is a forest of depth one whose roots include the ends.
@@ -187,6 +200,8 @@ def _joined(rep, edges):
     path halving only shortens pointers of recorded words.  Resolving the
     recorded words in ascending order points each at its root, and one
     C-speed map then carries every word to its root, the class minimum.
+    Each recorded word is one merge, so the class count falls by their
+    number.
     """
     moved = []
     for a, b in edges:
@@ -201,7 +216,107 @@ def _joined(rep, edges):
             moved.append(b)
     for x in sorted(moved):
         rep[x] = rep[rep[x]]
-    return list(map(rep.__getitem__, rep))
+    return list(map(rep.__getitem__, rep)), len(moved)
+
+
+# peeling keeps one bitset over the 2^k words per class of the stage; at
+# most this many classes, i.e. 32 bytes per word, about what the class list
+# itself takes per word (an 8-byte slot and, past 256, a 32-byte int)
+_PEEL_CLASSES = 256
+
+# per lane bit j, the translation of a byte into the digit "1" or "0" of
+# its bit j
+_LANE_DIGITS = [bytes(0x31 if x >> j & 1 else 0x30 for x in range(256)) for j in range(8)]
+
+
+class _ClassBits(dict):
+    """Bitset over the 2^k words of each class of rep, built on first lookup.
+
+    The bit planes of rep come from its entries' bytes, one lane byte per
+    word, translated to binary digits (the reverse of _bit_table); a
+    class's bitset is one AND per bit of its minimum, of the plane or its
+    complement.
+    """
+
+    def __init__(self, rep, k):
+        super().__init__()
+        item = _TABLE_ITEM
+        buf = array("L", rep).tobytes()
+        self.full = full = (1 << len(rep)) - 1
+        self.planes = []
+        for j in range(k):
+            byte = j // 8 if sys.byteorder == "little" else item - 1 - j // 8
+            P = int(buf[byte::item].translate(_LANE_DIGITS[j % 8])[::-1], 2)
+            self.planes.append((full ^ P, P))
+
+    def __missing__(self, c):
+        bits = self.full
+        for j, plane in enumerate(self.planes):
+            bits &= plane[c >> j & 1]
+        self[c] = bits
+        return bits
+
+
+def _pair_edges(rep, t, d, free):
+    """The class edges (rep[w], rep[w + d]) of the words w = B | t, B within free."""
+    lower = [t]
+    while free:
+        bit = free & -free
+        free ^= bit
+        lower += [w | bit for w in lower]
+    return {(rep[w], rep[w + d]) for w in lower}
+
+
+def _peeled_edges(rep, S, d, classes):
+    """The class edges (rep[w], rep[w + d]) of the words w in the bitset S.
+
+    The class a of the lowest word of S is peeled off S with its bitset;
+    those words shifted by d are the partners, and each partner class b is
+    peeled off them in turn.  One pass per distinct class and edge.
+    """
+    edges = set()
+    while S:
+        a = rep[(S & -S).bit_length() - 1]
+        mine = S & classes[a]
+        S ^= mine
+        partners = mine << d if d >= 0 else mine >> -d
+        while partners:
+            b = rep[(partners & -partners).bit_length() - 1]
+            edges.add((a, b))
+            partners ^= partners & classes[b]
+    return edges
+
+
+def _stage_edges(rep, group, k, count):
+    """The distinct class edges of the sets with top element k.
+
+    rep is the partition over bits 0..k-1, with count classes.  An edge
+    (a, b) joins class a to the copy of class b on the words with bit k
+    set.  Each set reads its half-cube by the path the cost model in
+    _forest picks, and complementing bits 0..k-1 gives the other half.
+    """
+    top = 1 << k
+    low = top - 1
+    edges = set()
+    planes = classes = None
+    for supp, pos, neg in group:
+        t = neg if pos & top else pos
+        d = (supp ^ top ^ t) - t
+        comp = low & ~supp
+        free = comp ^ (1 << comp.bit_length() >> 1)
+        if 1 << free.bit_count() > count and count <= _PEEL_CLASSES:
+            if classes is None:
+                planes, classes = _word_planes(k), _ClassBits(rep, k)
+            S = classes.full
+            for i in _elements_of(low & ~free):
+                S &= planes[i][t >> i & 1]
+            edges |= _peeled_edges(rep, S, d, classes)
+        else:
+            edges |= _pair_edges(rep, t, d, free)
+    # complementing bits 0..k-1 maps the pair of B, (B | t, B | u), to the
+    # pair of C - B with its sides swapped, and each class to a class
+    edges |= {(rep[low ^ b], rep[low ^ a]) for a, b in edges}
+    return edges
 
 
 def _forest(data, n):
@@ -210,31 +325,46 @@ def _forest(data, n):
     After the elements 0..k-1, rep maps each of the 2^k words to its class
     minimum.  A set X with top element k pairs the word w = B | t with
     w ^ supp(X), where t is the sign part of X without k and B runs over
-    the subsets of bits 0..k-1 outside its support; the partner is the word
-    w + d, with d = u - t for the other part u without k, plus bit k.  So
-    the sets with top element k join the class of w to the copy of the
-    class of w + d on the words with bit k set: their generator pairs are
-    read through rep as class edges, and only the distinct edges are united
-    once rep is doubled onto those words.
+    the subsets of C, the bits 0..k-1 outside its support; the partner is
+    the word w + d, with d = u - t for the other part u without k, plus
+    bit k.  So the sets with top element k join the class of w to the copy
+    of the class of w + d on the words with bit k set: _stage_edges finds
+    the distinct class edges, which are united once rep is doubled onto
+    those words.
+
+    A stored set is positive at A iff it is positive at the complement of
+    A, for any (pos, neg) list, so complementing bits 0..k-1 maps each
+    class over them to a class, and it maps the pair of B to the pair of
+    C - B with its two sides swapped.  Each set therefore reads only the
+    half-cube of the B that leave the top bit of C clear, and every edge
+    (a, b) found also gives (rep[low ^ b], rep[low ^ a]), low = 2^k - 1.
+
+    The half-cube is read one of two ways.  The pair path reads every word
+    through rep; peeling takes the half-cube as a bitset S over the 2^k
+    words (an AND of _word_planes(k) over the fixed bits) and, while S is
+    not empty, takes the class a of its lowest word, removes a's words
+    from S, shifts them by d, and peels each partner class b off the
+    shifted set, one edge (a, b) each.  The class bitsets are built per
+    stage on first use.  The cost model: peeling costs a few big-int
+    operations per distinct class and edge instead of one set insertion
+    per word, so a set is peeled when its half-cube has more words than
+    the stage has classes; and the class bitsets take count bits per word,
+    so peeling runs only while count is at most _PEEL_CLASSES (256 bits,
+    about the class list's own size per word).
+
+    The class count doubles with rep and falls by one per merge.
     """
     rep = [0]
+    count = 1
     for k, group in enumerate(_by_top(data, n)):
+        edges = _stage_edges(rep, group, k, count)
         top = 1 << k
-        edges = set()
-        for supp, pos, neg in group:
-            t = neg if pos & top else pos
-            d = (supp ^ top ^ t) - t
-            lower = [t]
-            comp = (top - 1) & ~supp
-            while comp:
-                bit = comp & -comp
-                comp ^= bit
-                lower += [w | bit for w in lower]
-            edges.update({(rep[w], rep[w + d]) for w in lower})
         rep += [r | top for r in rep]
+        count *= 2
         if edges:
-            rep = _joined(rep, ((x, y | top) for x, y in edges))
-    return rep, _class_count(rep)
+            rep, merges = _joined(rep, ((x, y | top) for x, y in edges))
+            count -= merges
+    return rep, count
 
 
 def _cube_forests(M):
@@ -524,6 +654,7 @@ class ActivityClasses:
 
     def class_of(self, A: int) -> int:
         """Representative of the class containing A."""
+        _check_reorientation(self, A)
         return self._class_of[A]
 
     def sizes(self):

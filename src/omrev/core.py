@@ -564,6 +564,11 @@ def validate(M: OrientedMatroid) -> ValidationReport:
     return ValidationReport(not failures, failures)
 
 
+# memo key of the per-element bitsets, circuits then cocircuits, of the
+# words where some stored set whose lowest element is e is positive
+LOWEST_WORDS = "lowest words"
+
+
 def _untiled_word(M):
     """The lowest word A where -_A M does not split into acyclic and cyclic
     parts, or None when every word does.
@@ -571,17 +576,25 @@ def _untiled_word(M):
     One pass per stored kind: cyclic[e] (acyclic[e]) ORs the _positive_words
     of the circuits (cocircuits) whose support holds e, so bit A is set iff
     e lies in the cyclic (acyclic) part at A.  A word splits iff, for every
-    e, exactly one of the two holds it.
+    e, exactly one of the two holds it.  The same pass ORs each set's
+    words into the bitset of its lowest element, and leaves those on M's
+    memo as LOWEST_WORDS, where activity._cube reads its identity-order
+    tables from them.
     """
     planes = _word_planes(M.n)
     parts = []
+    lowest = []
     for data in (M.circuit_data, M.cocircuit_data):
         held = [0] * M.n
+        hits = [0] * M.n
         for supp, pos, neg in data:
             words = _positive_words(planes, supp, pos, neg)
+            hits[(supp & -supp).bit_length() - 1] |= words
             for e in _elements_of(supp):
                 held[e] |= words
         parts.append(held)
+        lowest.append(hits)
+    M._cache[LOWEST_WORDS] = tuple(lowest)
     full = (1 << (1 << M.n)) - 1
     split = full
     for cyclic, acyclic in zip(*parts):
@@ -598,7 +611,8 @@ def dual(M: OrientedMatroid) -> OrientedMatroid:
 
 
 def _check_reorientation(M, A):
-    if not isinstance(A, int) or A < 0 or A > M.ground_mask:
+    """Reject A unless it is an n-bit word; M is anything with a ground-set size n."""
+    if not isinstance(A, int) or A < 0 or A >> M.n:
         raise ValueError("reorientation %r is not an n-bit word for n=%d" % (A, M.n))
 
 

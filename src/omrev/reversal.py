@@ -9,7 +9,8 @@ table or order is involved.
 
 both/all is the join of the two base partitions: every word links its
 class in the coarser one to the class there of its representative in the
-finer one, and the distinct links are united.  A restricted setting is its mode's all
+finer one, and the distinct links are united; its class count is the
+coarser one's less the merges.  A restricted setting is its mode's all
 partition cut down to the admitted words: acyclic (no positive circuit)
 or totally cyclic (no positive cocircuit), read from the minima tables.
 In a valid oriented matroid no reversal moves the acyclic/cyclic split,
@@ -24,7 +25,7 @@ t(2,1), t(1,0), t(0,1).
 
 from __future__ import annotations
 
-from .activity import MODES, _class_count, _cube_forests, _cube_minima, _joined
+from .activity import MODES, _cube_forests, _cube_minima, _joined
 from .core import InvalidOrientedMatroid, _check_reorientation
 
 RESTRICTIONS = ("all", "acyclic", "totally_cyclic")
@@ -66,9 +67,11 @@ class ReversalPartition:
         self.class_count = class_count
 
     def is_admitted(self, A: int) -> bool:
+        _check_reorientation(self, A)
         return self.rep_of[A] >= 0
 
     def representative(self, A: int) -> int:
+        _check_reorientation(self, A)
         r = self.rep_of[A]
         if r < 0:
             raise ValueError(
@@ -143,8 +146,8 @@ def reversal_classes(M, mode: str = "both", restriction: str = "all") -> Reversa
         # so do their representatives in the coarser one: one edge per word
         # between coarse classes, of which few are distinct
         base = coarse.rep_of
-        rep_of = _joined(list(base), set(zip(base, map(base.__getitem__, fine.rep_of))))
-        count = _class_count(rep_of)
+        rep_of, merges = _joined(list(base), set(zip(base, map(base.__getitem__, fine.rep_of))))
+        count = coarse.class_count - merges
     else:
         rep_of, count = _cube_forests(M)[0 if mode == "circuit" else 1]
 

@@ -14,6 +14,7 @@ from omrev import (
     activity_report,
     build_from_graph,
     build_from_matrix,
+    build_from_signed_sets,
     build_uniform,
     catalog_instances,
     dual,
@@ -27,7 +28,9 @@ from omrev import (
     tutte_polynomial,
     tutte_via_activities,
 )
-from oracles import greedy_minimalize_ref, is_minimal_ref, minimal_counts_ref
+from omrev import activity
+from omrev.core import LOWEST_WORDS
+from oracles import cube_minima_ref, greedy_minimalize_ref, is_minimal_ref, minimal_counts_ref
 
 # small integer matrices: 2 or 3 rows of 4 columns, entries in -2..2
 SMALL_MATRICES = st.lists(
@@ -126,6 +129,24 @@ class TestMinimalCounts:
         minimal_counts(M)
         minimal_counts(M, tuple(range(M.n))[::-1])
         assert "forests" not in M._cache
+
+    def test_tables_read_the_bitsets_validate_left(self, monkeypatch):
+        # validate's tiling pass leaves the identity order's per-element
+        # bitsets on M; the tables read them instead of recomputing the
+        # sets' positive words, and other orders still compute their own
+        for name in ("tri", "u35", "loop-plus-triangle"):
+            stored = get_instance(name)
+            M = build_from_signed_sets(stored.circuits, stored.cocircuits, n=stored.n)
+            assert LOWEST_WORDS in M._cache, name
+            with monkeypatch.context() as patched:
+                patched.setattr(activity, "_positive_words", None)
+                tables = activity._cube_minima(M)
+                counts = minimal_counts(M)
+            assert LOWEST_WORDS not in M._cache, name
+            assert tables == cube_minima_ref(M), name
+            assert counts == minimal_counts_ref(M, None), name
+            reversed_order = tuple(range(M.n))[::-1]
+            assert activity._cube_minima(M, reversed_order) == cube_minima_ref(M, reversed_order)
 
     @settings(max_examples=20, deadline=None)
     @given(SMALL_MATRICES)
@@ -278,6 +299,12 @@ class TestActivityClasses:
         big = OrientedMatroid(17, 1, [], [])
         with pytest.raises(ValueError):
             activity_classes(big)
+
+    @pytest.mark.parametrize("A", [-1, -8, 8, 1 << 9])
+    def test_class_of_rejects_words_outside_the_cube(self, A):
+        AC = activity_classes(get_instance("tri"))
+        with pytest.raises(ValueError, match="reorientation %d is not an n-bit word for n=3" % A):
+            AC.class_of(A)
 
 
 class TestTutteViaActivities:

@@ -298,19 +298,30 @@ def _tiling_failures(M):
     return ["reorientation %d does not split into acyclic and cyclic parts" % A]
 
 
-# n, then (support, negative part) pairs for the circuits and the cocircuits
-_UNVALIDATED_LISTS = st.integers(1, 10).flatmap(
-    lambda n: st.tuples(
-        st.just(n),
-        *(
-            st.lists(
-                st.tuples(st.integers(1, (1 << n) - 1), st.integers(0, (1 << n) - 1)),
-                max_size=8,
-            )
-            for _ in range(2)
-        ),
+def _unvalidated_lists(max_n):
+    """n <= max_n, then (support, negative part) pairs for the circuits and
+    the cocircuits."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            *(
+                st.lists(
+                    st.tuples(st.integers(1, (1 << n) - 1), st.integers(0, (1 << n) - 1)),
+                    max_size=8,
+                )
+                for _ in range(2)
+            ),
+        )
     )
-)
+
+
+def _unvalidated_om(case):
+    """The OrientedMatroid of an _unvalidated_lists case, built without validate."""
+    n, *lists = case
+    circuits, cocircuits = (
+        [SignedSet(supp & ~neg, supp & neg) for supp, neg in sets] for sets in lists
+    )
+    return OrientedMatroid(n, 0, circuits, cocircuits)
 
 
 class TestBitsetChecksAgainstScans:
@@ -318,13 +329,9 @@ class TestBitsetChecksAgainstScans:
     per-word scan tiling_ref and the pairwise scan orthogonality_ref."""
 
     @settings(max_examples=80, deadline=None)
-    @given(_UNVALIDATED_LISTS)
+    @given(_unvalidated_lists(10))
     def test_random_unvalidated_lists(self, case):
-        n, *lists = case
-        circuits, cocircuits = (
-            [SignedSet(supp & ~neg, supp & neg) for supp, neg in sets] for sets in lists
-        )
-        M = OrientedMatroid(n, 0, circuits, cocircuits)
+        M = _unvalidated_om(case)
         failures = validate(M).failures
         assert _untiled_word(M) == tiling_ref(M)
         assert [f for f in failures if "does not split" in f] == _tiling_failures(M)

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from omrev import (
     SignedSet,
     build_from_graph,
     build_from_matrix,
+    build_from_signed_sets,
     build_uniform,
     catalog_instances,
     dual,
@@ -21,6 +24,7 @@ from omrev import (
     reversal_counts,
     same_class,
 )
+from omrev import activity
 from omrev.activity import _cube_forests, _cube_minima
 from omrev.reversal import MODES, RESTRICTIONS, SETTINGS, reversal_classes
 from oracles import (
@@ -31,6 +35,7 @@ from oracles import (
     sweep_ref,
 )
 from test_activity import SMALL_MATRICES, _catalog_and_duals
+from test_core import _unvalidated_lists, _unvalidated_om
 
 ORACLE_NAMES = ("tri", "u24", "u25", "u35", "loop-plus-triangle", "path2", "loop1")
 
@@ -191,6 +196,77 @@ def _assert_matches_flat_loops(M, *orders):
         assert (P.rep_of, P.class_count) == expected, (M.name, mode, restriction)
 
 
+def _alternating(r, n):
+    """U(r, n) from the signs of its Vandermonde columns t = 1..n.
+
+    Every r-minor in increasing column order is positive, so a circuit
+    alternates in sign along its sorted support, and the cocircuit of the
+    hyperplane spanned by an (r-1)-set T gives e the sign (-1)^(number of
+    elements of T above e).  Built from the signed lists, with no subset
+    scan.
+    """
+    circuits = [(S[0::2], S[1::2]) for S in itertools.combinations(range(n), r + 1)]
+    cocircuits = []
+    for T in itertools.combinations(range(n), r - 1):
+        parts = ([], [])
+        for e in range(n):
+            if e not in T:
+                parts[sum(x > e for x in T) % 2].append(e)
+        cocircuits.append(parts)
+    return build_from_signed_sets(circuits, cocircuits, n=n, name="U(%d,%d)" % (r, n))
+
+
+def _wheel(k):
+    """Edge list of the wheel with k spokes: hub 0, rim 1..k."""
+    return [(0, i) for i in range(1, k + 1)] + [(i, i % k + 1) for i in range(1, k + 1)]
+
+
+def _seventeen():
+    """A coloop and eight parallel pairs (n = 17)."""
+    pairs = [(2 * i + 1, 2 * i + 2) for i in range(8)]
+    return OrientedMatroid(
+        17,
+        9,
+        [SignedSet((a,), (b,)) for a, b in pairs],
+        [SignedSet((0,))] + [SignedSet((a, b)) for a, b in pairs],
+    )
+
+
+def _forests_ref(M):
+    return sweep_ref(M, M.circuit_data), sweep_ref(M, M.cocircuit_data)
+
+
+PAIRS, PEELING = "_pair_edges", "_peeled_edges"
+K5_EDGES = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+
+# instances on both sides of the cost model in activity._stage_edges, with
+# the edge paths their two forests take: low-rank uniform circuits have
+# half-cubes far larger than their stage's class count, graphs have many
+# classes, and the n = 17 instance peels two of its cocircuits
+EDGE_PATH_CASES = {
+    "U(2,9)": (lambda: _alternating(2, 9), {PAIRS, PEELING}),
+    "U(3,12)": (lambda: _alternating(3, 12), {PAIRS, PEELING}),
+    "K5": (lambda: build_from_graph(K5_EDGES, name="K5"), {PAIRS}),
+    "dual K5": (lambda: dual(build_from_graph(K5_EDGES, name="K5")), {PAIRS}),
+    "W5": (lambda: build_from_graph(_wheel(5), name="W5"), {PAIRS}),
+    "W6": (lambda: build_from_graph(_wheel(6), name="W6"), {PAIRS}),
+    "n17": (_seventeen, {PAIRS, PEELING}),
+}
+
+
+def _spy_on_edge_paths(monkeypatch):
+    """The set of edge paths activity._stage_edges takes from now on."""
+    taken = set()
+    for name in (PAIRS, PEELING):
+
+        def spy(*args, real=getattr(activity, name), name=name):
+            taken.add(name)
+            return real(*args)
+
+        monkeypatch.setattr(activity, name, spy)
+    return taken
+
+
 class TestAgainstFlatLoops:
     """The doubling builds against the flat loops they replaced."""
 
@@ -199,7 +275,7 @@ class TestAgainstFlatLoops:
             _assert_matches_flat_loops(M)
 
     def test_relabelled_under_three_orders(self):
-        K5 = build_from_graph([(i, j) for i in range(5) for j in range(i + 1, 5)], name="K5")
+        K5 = build_from_graph(K5_EDGES, name="K5")
         for seed, M in enumerate((build_uniform(3, 9), K5, dual(K5))):
             M = _relabelled(M, seed)
             shuffled = list(range(M.n))
@@ -212,19 +288,43 @@ class TestAgainstFlatLoops:
         _assert_matches_flat_loops(build_from_matrix(rows))
 
     def test_seventeen_elements(self):
-        # a coloop and eight parallel pairs: table bits 16 and up fill a
-        # third byte of each entry, and under the reversed order the last
-        # pair's minimum is element 16
-        pairs = [(2 * i + 1, 2 * i + 2) for i in range(8)]
-        M = OrientedMatroid(
-            17,
-            9,
-            [SignedSet((a,), (b,)) for a, b in pairs],
-            [SignedSet((0,))] + [SignedSet((a, b)) for a, b in pairs],
-        )
+        # table bits 16 and up fill a third byte of each entry, and under
+        # the reversed order the last pair's minimum is element 16
+        M = _seventeen()
         for order in (None, tuple(range(17))[::-1]):
             assert _cube_minima(M, order) == cube_minima_ref(M, order), order
-        assert _cube_forests(M) == (sweep_ref(M, M.circuit_data), sweep_ref(M, M.cocircuit_data))
+        assert _cube_forests(M) == _forests_ref(M)
+
+    def test_seventeen_elements_memory_peak(self):
+        # peeling's class bitsets are capped per word, so they stay below
+        # the class lists' own size and the forests' peak within 10 % of
+        # 6.9 MB
+        M = _seventeen()
+        tracemalloc.start()
+        try:
+            _cube_forests(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 6.9e6, peak
+
+    @pytest.mark.parametrize("name", list(EDGE_PATH_CASES))
+    def test_both_edge_paths(self, name, monkeypatch):
+        # each instance takes the edge paths the cost model picks for it,
+        # so the test fails if no instance is peeled
+        make, paths = EDGE_PATH_CASES[name]
+        M = make()
+        taken = _spy_on_edge_paths(monkeypatch)
+        assert _cube_forests(M) == _forests_ref(M), name
+        assert taken == paths, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(_unvalidated_lists(9))
+    def test_random_unvalidated_lists(self, case):
+        # complement halving needs no axiom: a stored set is positive at A
+        # iff it is positive at the complement of A, for any signed list
+        M = _unvalidated_om(case)
+        assert _cube_forests(M) == _forests_ref(M)
 
     def test_unvalidated_and_tiny(self):
         cases = (
@@ -246,6 +346,21 @@ class TestAgainstFlatLoops:
         )
         for M in cases:
             _assert_matches_flat_loops(M)
+
+
+class TestWordChecks:
+    """Word lookups reject what _check_reorientation rejects, with its message."""
+
+    @pytest.mark.parametrize("A", [-1, -2, 8, 1 << 9])
+    def test_partition_lookups(self, A):
+        M = get_instance("tri")
+        message = "reorientation %d is not an n-bit word for n=3" % A
+        for mode, restriction in ACCEPTED:
+            P = reversal_classes(M, mode, restriction)
+            with pytest.raises(ValueError, match=message):
+                P.is_admitted(A)
+            with pytest.raises(ValueError, match=message):
+                P.representative(A)
 
 
 class TestSameClass:
