@@ -17,11 +17,12 @@ The active partition splits the ground set by threshold unions of positive
 supports; flipping whole parts generates the activity classes, which tile
 the cube with one minimal reorientation in each class.
 
-Whole-cube questions, here and in module reversal, are views over two
-builds memoized on M.  Both work on Python big-int bitsets and whole lists
-at C speed rather than in per-word Python loops.
+Whole-cube questions are views over builds memoized on M: here the
+minima tables of _cube, in module reversal the reversal forests.  Both
+work on Python big-int bitsets and whole lists at C speed rather than in
+per-word Python loops.
 
-_cube_minima builds one table per kind and order.  A stored set X is
+_cube builds one table per kind and order.  A stored set X is
 positive exactly at the words B | X- and B | X+ over the subsets B of the
 complement of its support; core._positive_words gives those words as one
 bitset over the 2^n words.  The bitsets of the sets whose order-minimum
@@ -37,20 +38,6 @@ once: the supports, in the walk's key order, claim the words where the
 walk flips them, _bit_table turns the claims into one step list, and
 pointer doubling composes it.
 
-_cube_forests builds the circuit/all and cocircuit/all reversal
-partitions, once per M and for no order, as lists mapping each word to
-its class minimum.  They grow one element at a time: a set whose largest
-element is k never reads or flips bit k+1 or above, so the partition over
-bits 0..k-1 is doubled onto the words with bit k set, and only then do
-the sets with top element k join classes, by the distinct class edges of
-their generator pairs.  No set reads all of its pairs.  A set is positive
-at A iff it is positive at the complement of A, so complementing bits
-0..k-1 maps classes to classes and each pair to a pair: half the pairs
-give every edge.  A set whose half has more words than its stage has
-classes, while those are at most _PEEL_CLASSES, peels classes off the
-half as bitsets, one big-int step per distinct class and edge; the others
-read their half word by word.  The class counts come from the merges.
-
 When validate ran on M, its tiling pass has already ORed every stored
 set's positive words into the bitset of the set's lowest element; _cube
 takes those for the identity order instead of computing them again.
@@ -62,13 +49,10 @@ arrays.
 
 from __future__ import annotations
 
-import sys
-from array import array
-
 from .core import (
     LOWEST_WORDS,
     InvalidOrientedMatroid,
-    _by_top,
+    _bit_table,
     _check_reorientation,
     _elements_of,
     _positive,
@@ -109,51 +93,15 @@ def _min_bit(supp_mask, positions):
     return 1 << min(_elements_of(supp_mask), key=positions.__getitem__)
 
 
-# bytes per table entry, and per lane bit j the translation of binary
-# digits "0"/"1" into bytes 0 and 1 << j
-_TABLE_ITEM = array("L").itemsize
-_LANE_BITS = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
+def _cube(M, order=None):
+    """((circuit minima, cocircuit minima), (held, positive) bitsets of each kind).
 
-
-def _bit_table(hits, n):
-    """array("L") whose entry A has bit e set iff bit A of hits[e] is set.
-
-    Each bitset is written out as binary digits, one byte per word with word
-    2^n - 1 first, and translated to 0 or its element's bit within a lane of
-    eight elements; the elements of a lane are ORed as big-endian ints, and
-    the lanes are interleaved into the entries' bytes.
-    """
-    size = 1 << n
-    item = _TABLE_ITEM
-    buf = bytearray(size * item)
-    for lane in range(0, n, 8):
-        acc = 0
-        for e in range(lane, min(n, lane + 8)):
-            if hits[e]:
-                digits = format(hits[e], "0%db" % size).encode()
-                acc |= int.from_bytes(digits.translate(_LANE_BITS[e - lane]), "big")
-        byte = lane // 8 if sys.byteorder == "little" else item - 1 - lane // 8
-        buf[byte::item] = acc.to_bytes(size, "little")
-    table = array("L")
-    table.frombytes(buf)
-    return table
-
-
-def _cube_minima(M, order=None):
-    """(circuit minima, cocircuit minima): one array entry per word A.
-
-    An entry is the OR of the order-minimum bits of the stored sets of that
-    kind that are positive at A.  Per element e, the words where e is the
-    minimum of some positive set form the OR of those sets'
-    _positive_words; _bit_table turns the n bitsets into the table.
-    Memoized on M by _cube; equal orders share one entry whatever their
-    sequence type.
-    """
-    return _cube(M, order)[0]
-
-
-def _cube(M, order):
-    """(_cube_minima tables, (held, positive) bitsets of each kind).
+    A minima table has one array entry per word A: the OR of the
+    order-minimum bits of the stored sets of that kind that are positive
+    at A.  Per element e, the words where e is the minimum of some
+    positive set form the OR of those sets' _positive_words; _bit_table
+    turns the n bitsets into the table.  Equal orders share one memo entry
+    whatever their sequence type.
 
     The bitsets are over the 2^n words, circuits first: "positive" holds
     the words where the kind's table entry is nonzero, i.e. with some
@@ -188,194 +136,6 @@ def _cube(M, order):
             positive |= words
         bits += [held, positive]
     hit = M._cache[key] = (tuple(tables), tuple(bits))
-    return hit
-
-
-def _joined(rep, edges):
-    """(rep with the classes at the two ends of each edge merged, merges).
-
-    rep maps each word to its class minimum and every edge end is a class
-    minimum, so rep is a forest of depth one whose roots include the ends.
-    Uniting two roots points the larger at the smaller and records it;
-    path halving only shortens pointers of recorded words.  Resolving the
-    recorded words in ascending order points each at its root, and one
-    C-speed map then carries every word to its root, the class minimum.
-    Each recorded word is one merge, so the class count falls by their
-    number.
-    """
-    moved = []
-    for a, b in edges:
-        while rep[a] != a:
-            rep[a] = a = rep[rep[a]]
-        while rep[b] != b:
-            rep[b] = b = rep[rep[b]]
-        if a != b:
-            if b < a:
-                a, b = b, a
-            rep[b] = a
-            moved.append(b)
-    for x in sorted(moved):
-        rep[x] = rep[rep[x]]
-    return list(map(rep.__getitem__, rep)), len(moved)
-
-
-# peeling keeps one bitset over the 2^k words per class of the stage; at
-# most this many classes, i.e. 32 bytes per word, about what the class list
-# itself takes per word (an 8-byte slot and, past 256, a 32-byte int)
-_PEEL_CLASSES = 256
-
-# per lane bit j, the translation of a byte into the digit "1" or "0" of
-# its bit j
-_LANE_DIGITS = [bytes(0x31 if x >> j & 1 else 0x30 for x in range(256)) for j in range(8)]
-
-
-class _ClassBits(dict):
-    """Bitset over the 2^k words of each class of rep, built on first lookup.
-
-    The bit planes of rep come from its entries' bytes, one lane byte per
-    word, translated to binary digits (the reverse of _bit_table); a
-    class's bitset is one AND per bit of its minimum, of the plane or its
-    complement.
-    """
-
-    def __init__(self, rep, k):
-        super().__init__()
-        item = _TABLE_ITEM
-        buf = array("L", rep).tobytes()
-        self.full = full = (1 << len(rep)) - 1
-        self.planes = []
-        for j in range(k):
-            byte = j // 8 if sys.byteorder == "little" else item - 1 - j // 8
-            P = int(buf[byte::item].translate(_LANE_DIGITS[j % 8])[::-1], 2)
-            self.planes.append((full ^ P, P))
-
-    def __missing__(self, c):
-        bits = self.full
-        for j, plane in enumerate(self.planes):
-            bits &= plane[c >> j & 1]
-        self[c] = bits
-        return bits
-
-
-def _pair_edges(rep, t, d, free):
-    """The class edges (rep[w], rep[w + d]) of the words w = B | t, B within free."""
-    lower = [t]
-    while free:
-        bit = free & -free
-        free ^= bit
-        lower += [w | bit for w in lower]
-    return {(rep[w], rep[w + d]) for w in lower}
-
-
-def _peeled_edges(rep, S, d, classes):
-    """The class edges (rep[w], rep[w + d]) of the words w in the bitset S.
-
-    The class a of the lowest word of S is peeled off S with its bitset;
-    those words shifted by d are the partners, and each partner class b is
-    peeled off them in turn.  One pass per distinct class and edge.
-    """
-    edges = set()
-    while S:
-        a = rep[(S & -S).bit_length() - 1]
-        mine = S & classes[a]
-        S ^= mine
-        partners = mine << d if d >= 0 else mine >> -d
-        while partners:
-            b = rep[(partners & -partners).bit_length() - 1]
-            edges.add((a, b))
-            partners ^= partners & classes[b]
-    return edges
-
-
-def _stage_edges(rep, group, k, count):
-    """The distinct class edges of the sets with top element k.
-
-    rep is the partition over bits 0..k-1, with count classes.  An edge
-    (a, b) joins class a to the copy of class b on the words with bit k
-    set.  Each set reads its half-cube by the path the cost model in
-    _forest picks, and complementing bits 0..k-1 gives the other half.
-    """
-    top = 1 << k
-    low = top - 1
-    edges = set()
-    planes = classes = None
-    for supp, pos, neg in group:
-        t = neg if pos & top else pos
-        d = (supp ^ top ^ t) - t
-        comp = low & ~supp
-        free = comp ^ (1 << comp.bit_length() >> 1)
-        if 1 << free.bit_count() > count and count <= _PEEL_CLASSES:
-            if classes is None:
-                planes, classes = _word_planes(k), _ClassBits(rep, k)
-            S = classes.full
-            for i in _elements_of(low & ~free):
-                S &= planes[i][t >> i & 1]
-            edges |= _peeled_edges(rep, S, d, classes)
-        else:
-            edges |= _pair_edges(rep, t, d, free)
-    # complementing bits 0..k-1 maps the pair of B, (B | t, B | u), to the
-    # pair of C - B with its sides swapped, and each class to a class
-    edges |= {(rep[low ^ b], rep[low ^ a]) for a, b in edges}
-    return edges
-
-
-def _forest(data, n):
-    """(rep_of, class count) of the reversal partition one stored kind generates.
-
-    After the elements 0..k-1, rep maps each of the 2^k words to its class
-    minimum.  A set X with top element k pairs the word w = B | t with
-    w ^ supp(X), where t is the sign part of X without k and B runs over
-    the subsets of C, the bits 0..k-1 outside its support; the partner is
-    the word w + d, with d = u - t for the other part u without k, plus
-    bit k.  So the sets with top element k join the class of w to the copy
-    of the class of w + d on the words with bit k set: _stage_edges finds
-    the distinct class edges, which are united once rep is doubled onto
-    those words.
-
-    A stored set is positive at A iff it is positive at the complement of
-    A, for any (pos, neg) list, so complementing bits 0..k-1 maps each
-    class over them to a class, and it maps the pair of B to the pair of
-    C - B with its two sides swapped.  Each set therefore reads only the
-    half-cube of the B that leave the top bit of C clear, and every edge
-    (a, b) found also gives (rep[low ^ b], rep[low ^ a]), low = 2^k - 1.
-
-    The half-cube is read one of two ways.  The pair path reads every word
-    through rep; peeling takes the half-cube as a bitset S over the 2^k
-    words (an AND of _word_planes(k) over the fixed bits) and, while S is
-    not empty, takes the class a of its lowest word, removes a's words
-    from S, shifts them by d, and peels each partner class b off the
-    shifted set, one edge (a, b) each.  The class bitsets are built per
-    stage on first use.  The cost model: peeling costs a few big-int
-    operations per distinct class and edge instead of one set insertion
-    per word, so a set is peeled when its half-cube has more words than
-    the stage has classes; and the class bitsets take count bits per word,
-    so peeling runs only while count is at most _PEEL_CLASSES (256 bits,
-    about the class list's own size per word).
-
-    The class count doubles with rep and falls by one per merge.
-    """
-    rep = [0]
-    count = 1
-    for k, group in enumerate(_by_top(data, n)):
-        edges = _stage_edges(rep, group, k, count)
-        top = 1 << k
-        rep += [r | top for r in rep]
-        count *= 2
-        if edges:
-            rep, merges = _joined(rep, ((x, y | top) for x, y in edges))
-            count -= merges
-    return rep, count
-
-
-def _cube_forests(M):
-    """((rep_of, class count) of circuit/all, the same of cocircuit/all).
-
-    Built once per M on first use; the forests depend on no order, and
-    _cube_minima never builds them.
-    """
-    hit = M._cache.get("forests")
-    if hit is None:
-        hit = M._cache["forests"] = (_forest(M.circuit_data, M.n), _forest(M.cocircuit_data, M.n))
     return hit
 
 
@@ -702,7 +462,7 @@ def tutte_via_activities(M, order=None) -> TuttePolynomial:
     """
     r, nul = M.rank, M.n - M.rank
     counts = [[0] * (nul + 1) for _ in range(r + 1)]
-    for A, act, dact in zip(range(1 << M.n), *_cube_minima(M, order)):
+    for A, act, dact in zip(range(1 << M.n), *_cube(M, order)[0]):
         o = act.bit_count()
         o_star = dact.bit_count()
         if o_star > r or o > nul:
@@ -734,7 +494,7 @@ def activity_report(M, order=None):
     if M.n > 12:
         raise ValueError("activity_report is limited to n <= 12, got n=%d" % M.n)
     records = []
-    for A, act, dact in zip(range(1 << M.n), *_cube_minima(M, order)):
+    for A, act, dact in zip(range(1 << M.n), *_cube(M, order)[0]):
         circ_hit = A & act
         coc_hit = A & dact
         records.append(

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import catalog as _catalog
 from .activity import (
-    _cube_minima,
+    _cube,
     activity_report,
     greedy_minimalize,
     is_minimal,
@@ -188,28 +188,29 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def _checked_minimal_counts(M, evals, order=None):
-    """minimal_counts(M, order), which must equal the Tutte evaluations evals.
+def _check_minimal_counts(M, mins, evals):
+    """Raise unless the minimal counts mins equal the Tutte evaluations evals.
 
     The equality is a theorem for every oriented matroid and order, so a
     mismatch means the input is not one and raises InvalidOrientedMatroid.
     """
-    mins = minimal_counts(M, order)
     if mins != evals:
         raise InvalidOrientedMatroid(
             "minimal counts %r differ from the Tutte evaluations %r of %s"
             % (mins, evals, M.name)
         )
-    return mins
 
 
 def analyze_instance(M: OrientedMatroid, order=None, verbose=False, timing=False) -> AnalysisReport:
     """Compute the full analysis record for one oriented matroid."""
     started = time.perf_counter()
+    # order-dependent steps first: a bad order or too large a verbose report fails fast
+    mins = minimal_counts(M, order)
+    acts = tuple(activity_report(M, order)) if verbose else None
     T = tutte_polynomial(M)
     evals = evaluations(T)
     counts = reversal_counts(M)
-    mins = _checked_minimal_counts(M, evals, order)
+    _check_minimal_counts(M, mins, evals)
     verdict = is_binary(M)
     witness = None
     if verdict.witness is not None:
@@ -217,9 +218,6 @@ def analyze_instance(M: OrientedMatroid, order=None, verbose=False, timing=False
     pair = None
     if not verdict.regular:
         pair = find_minimal_pair_in_class(M, "cocircuit", "acyclic")
-    acts = None
-    if verbose:
-        acts = tuple(activity_report(M, order))
     report = AnalysisReport(
         name=M.name,
         n=M.n,
@@ -362,7 +360,7 @@ def _verify_entry(entry, stream):
     # tables) of its own both/all class; only on failure is the first
     # failing word looked for, word by word
     ends = greedy_minimalize(M)
-    circ, cocirc = _cube_minima(M)
+    circ, cocirc = _cube(M)[0]
     rep = partitions[0].rep_of
     if any(B & (circ[B] | cocirc[B]) for B in set(ends)) or list(map(rep.__getitem__, ends)) != rep:
         A = next(
@@ -542,7 +540,7 @@ def cmd_catalog_list(out="table", stream=None) -> int:
 
 def cmd_witness(target, mode="cocircuit", restriction="acyclic", out="table", stream=None) -> int:
     M = _resolve_instance(target)
-    _checked_minimal_counts(M, evaluations(tutte_polynomial(M)))
+    _check_minimal_counts(M, minimal_counts(M), evaluations(tutte_polynomial(M)))
     pair = find_minimal_pair_in_class(M, mode, restriction)
     record = {
         "instance": M.name,

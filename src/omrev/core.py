@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -38,10 +40,14 @@ def _is_int(x):
 
 
 def _mask_of(elements):
+    """Bitmask of an element iterable; each element is checked before its shift."""
     m = 0
     for e in elements:
-        if not _is_int(e) or e < 0:
-            raise ValueError("elements must be nonnegative ints, got %r" % (e,))
+        if not _is_int(e) or not 0 <= e < MAX_ELEMENTS:
+            raise ValueError(
+                "elements must be ints in 0..%d (the hard cap is %d), got %r"
+                % (MAX_ELEMENTS - 1, MAX_ELEMENTS, e)
+            )
         m |= 1 << e
     return m
 
@@ -391,16 +397,17 @@ def build_from_graph(edges, *, vertices=None, name="graph") -> OrientedMatroid:
     for e in edge_list:
         if len(e) != 2 or not all(_is_int(v) and v >= 0 for v in e):
             raise ValueError("edges must be (tail, head) pairs of nonnegative ints, got %r" % (e,))
-    nv = 1 + max((max(e) for e in edge_list), default=-1)
-    if vertices is not None:
-        if vertices < nv:
-            raise ValueError("vertex count %d too small for the edge endpoints" % vertices)
-        nv = vertices
-    matrix = [[0] * len(edge_list) for _ in range(nv)]
+    if vertices is not None and vertices < 1 + max((max(e) for e in edge_list), default=-1):
+        raise ValueError("vertex count %d too small for the edge endpoints" % vertices)
+    # one row per endpoint of a non-loop edge, in ascending vertex order:
+    # the zero rows of isolated vertices change no circuit or cocircuit
+    ends = sorted({v for e in edge_list if e[0] != e[1] for v in e})
+    row = {v: i for i, v in enumerate(ends)}
+    matrix = [[0] * len(edge_list) for _ in row]
     for j, (u, v) in enumerate(edge_list):
         if u != v:
-            matrix[v][j] += 1
-            matrix[u][j] -= 1
+            matrix[row[v]][j] += 1
+            matrix[row[u]][j] -= 1
     return build_from_matrix(matrix, n=len(edge_list), name=name)
 
 
@@ -683,6 +690,53 @@ def _positive_words(planes, supp, pos, neg):
         S &= planes[i][neg >> i & 1]
     d = pos - neg
     return S | (S << d if d >= 0 else S >> -d)
+
+
+# A table holds one array("L") entry per word; bit e of an entry sits in
+# byte _lane_byte(e) of its item, lane e // 8.  Per lane bit j, _LANE_BITS
+# translates the binary digits "0"/"1" into the bytes 0 and 1 << j, and
+# _LANE_DIGITS translates a byte into the digit "1" or "0" of its bit j.
+_TABLE_ITEM = array("L").itemsize
+_LANE_BITS = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
+_LANE_DIGITS = [bytes(0x31 if x >> j & 1 else 0x30 for x in range(256)) for j in range(8)]
+
+
+def _lane_byte(e):
+    """Index, within a table item, of the byte that holds bit e."""
+    return e // 8 if sys.byteorder == "little" else _TABLE_ITEM - 1 - e // 8
+
+
+def _bit_table(hits, n):
+    """array("L") whose entry A has bit e set iff bit A of hits[e] is set.
+
+    Each bitset is written out as binary digits, one byte per word with word
+    2^n - 1 first, and translated to 0 or its element's bit within a lane of
+    eight elements; the elements of a lane are ORed as big-endian ints, and
+    the lanes are interleaved into the entries' bytes.
+    """
+    size = 1 << n
+    item = _TABLE_ITEM
+    buf = bytearray(size * item)
+    for lane in range(0, n, 8):
+        acc = 0
+        for e in range(lane, min(n, lane + 8)):
+            if hits[e]:
+                digits = format(hits[e], "0%db" % size).encode()
+                acc |= int.from_bytes(digits.translate(_LANE_BITS[e - lane]), "big")
+        buf[_lane_byte(lane)::item] = acc.to_bytes(size, "little")
+    table = array("L")
+    table.frombytes(buf)
+    return table
+
+
+def _table_planes(table, n):
+    """The reverse of _bit_table: per e < n, the bitset of the entries with
+    bit e set, from their bytes of e's lane translated to binary digits."""
+    buf = array("L", table).tobytes()
+    return [
+        int(buf[_lane_byte(e)::_TABLE_ITEM].translate(_LANE_DIGITS[e % 8])[::-1], 2)
+        for e in range(n)
+    ]
 
 
 def _part_masks(M, A):

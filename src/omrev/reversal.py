@@ -2,10 +2,22 @@
 
 Two reorientations A and B are in the same class when one reaches the other
 by repeatedly reversing the support of a circuit or cocircuit that is
-positive there.  The two base partitions, circuit/all and cocircuit/all,
-are the class-minimum lists that activity._cube_forests builds once per
-instance from the distinct class edges of the generator pairs; no minima
-table or order is involved.
+positive there.  Each setting's partition is a list mapping every word to
+its class minimum, built on its first request and memoized on M.
+
+_forest builds a base partition, circuit/all or cocircuit/all, from its
+one stored kind; no minima table or order is involved.  It grows one
+element at a time: a set whose largest element is k never reads or flips
+bit k+1 or above, so the partition over bits 0..k-1 is doubled onto the
+words with bit k set, and only then do the sets with top element k join
+classes, by the distinct class edges of their generator pairs.  No set
+reads all of its pairs.  A set is positive at A iff it is positive at the
+complement of A, so complementing bits 0..k-1 maps classes to classes
+and each pair to a pair: half the pairs give every edge.  A set whose
+half has more words than its stage has classes, while those are at most
+_PEEL_CLASSES, peels classes off the half as bitsets, one big-int step
+per distinct class and edge; the others read their half word by word.
+The class counts come from the merges.
 
 both/all is the join of the two base partitions: every word links its
 class in the coarser one to the class there of its representative in the
@@ -25,8 +37,15 @@ t(2,1), t(1,0), t(0,1).
 
 from __future__ import annotations
 
-from .activity import MODES, _cube_forests, _cube_minima, _joined
-from .core import InvalidOrientedMatroid, _check_reorientation
+from .activity import MODES, _cube
+from .core import (
+    InvalidOrientedMatroid,
+    _by_top,
+    _check_reorientation,
+    _elements_of,
+    _table_planes,
+    _word_planes,
+)
 
 RESTRICTIONS = ("all", "acyclic", "totally_cyclic")
 
@@ -110,9 +129,174 @@ class ReversalPartition:
         return out
 
 
+def _joined(rep, edges):
+    """(rep with the classes at the two ends of each edge merged, merges).
+
+    rep maps each word to its class minimum and every edge end is a class
+    minimum, so rep is a forest of depth one whose roots include the ends.
+    Uniting two roots points the larger at the smaller and records it;
+    path halving only shortens pointers of recorded words.  Resolving the
+    recorded words in ascending order points each at its root, and one
+    C-speed map then carries every word to its root, the class minimum.
+    Each recorded word is one merge, so the class count falls by their
+    number.
+    """
+    moved = []
+    for a, b in edges:
+        while rep[a] != a:
+            rep[a] = a = rep[rep[a]]
+        while rep[b] != b:
+            rep[b] = b = rep[rep[b]]
+        if a != b:
+            if b < a:
+                a, b = b, a
+            rep[b] = a
+            moved.append(b)
+    for x in sorted(moved):
+        rep[x] = rep[rep[x]]
+    return list(map(rep.__getitem__, rep)), len(moved)
+
+
+# peeling keeps one bitset over the 2^k words per class of the stage; at
+# most this many classes, i.e. 32 bytes per word, about what the class list
+# itself takes per word (an 8-byte slot and, past 256, a 32-byte int)
+_PEEL_CLASSES = 256
+
+
+class _ClassBits(dict):
+    """Bitset over the 2^k words of each class of rep, built on first lookup.
+
+    The bit planes of rep, read as a table by core._table_planes, and their
+    complements; a class's bitset is one AND per bit of its minimum, of the
+    plane or its complement.
+    """
+
+    def __init__(self, rep, k):
+        super().__init__()
+        self.full = full = (1 << len(rep)) - 1
+        self.planes = [(full ^ P, P) for P in _table_planes(rep, k)]
+
+    def __missing__(self, c):
+        bits = self.full
+        for j, plane in enumerate(self.planes):
+            bits &= plane[c >> j & 1]
+        self[c] = bits
+        return bits
+
+
+def _pair_edges(rep, t, d, free):
+    """The class edges (rep[w], rep[w + d]) of the words w = B | t, B within free."""
+    lower = [t]
+    while free:
+        bit = free & -free
+        free ^= bit
+        lower += [w | bit for w in lower]
+    return {(rep[w], rep[w + d]) for w in lower}
+
+
+def _peeled_edges(rep, S, d, classes):
+    """The class edges (rep[w], rep[w + d]) of the words w in the bitset S.
+
+    The class a of the lowest word of S is peeled off S with its bitset;
+    those words shifted by d are the partners, and each partner class b is
+    peeled off them in turn.  One pass per distinct class and edge.
+    """
+    edges = set()
+    while S:
+        a = rep[(S & -S).bit_length() - 1]
+        mine = S & classes[a]
+        S ^= mine
+        partners = mine << d if d >= 0 else mine >> -d
+        while partners:
+            b = rep[(partners & -partners).bit_length() - 1]
+            edges.add((a, b))
+            partners ^= partners & classes[b]
+    return edges
+
+
+def _stage_edges(rep, group, k, count):
+    """The distinct class edges of the sets with top element k.
+
+    rep is the partition over bits 0..k-1, with count classes.  An edge
+    (a, b) joins class a to the copy of class b on the words with bit k
+    set.  Each set reads its half-cube by the path the cost model in
+    _forest picks, and complementing bits 0..k-1 gives the other half.
+    """
+    top = 1 << k
+    low = top - 1
+    edges = set()
+    planes = classes = None
+    for supp, pos, neg in group:
+        t = neg if pos & top else pos
+        d = (supp ^ top ^ t) - t
+        comp = low & ~supp
+        free = comp ^ (1 << comp.bit_length() >> 1)
+        if 1 << free.bit_count() > count and count <= _PEEL_CLASSES:
+            if classes is None:
+                planes, classes = _word_planes(k), _ClassBits(rep, k)
+            S = classes.full
+            for i in _elements_of(low & ~free):
+                S &= planes[i][t >> i & 1]
+            edges |= _peeled_edges(rep, S, d, classes)
+        else:
+            edges |= _pair_edges(rep, t, d, free)
+    # complementing bits 0..k-1 maps the pair of B, (B | t, B | u), to the
+    # pair of C - B with its sides swapped, and each class to a class
+    edges |= {(rep[low ^ b], rep[low ^ a]) for a, b in edges}
+    return edges
+
+
+def _forest(data, n):
+    """(rep_of, class count) of the reversal partition one stored kind generates.
+
+    After the elements 0..k-1, rep maps each of the 2^k words to its class
+    minimum.  A set X with top element k pairs the word w = B | t with
+    w ^ supp(X), where t is the sign part of X without k and B runs over
+    the subsets of C, the bits 0..k-1 outside its support; the partner is
+    the word w + d, with d = u - t for the other part u without k, plus
+    bit k.  So the sets with top element k join the class of w to the copy
+    of the class of w + d on the words with bit k set: _stage_edges finds
+    the distinct class edges, which are united once rep is doubled onto
+    those words.
+
+    A stored set is positive at A iff it is positive at the complement of
+    A, for any (pos, neg) list, so complementing bits 0..k-1 maps each
+    class over them to a class, and it maps the pair of B to the pair of
+    C - B with its two sides swapped.  Each set therefore reads only the
+    half-cube of the B that leave the top bit of C clear, and every edge
+    (a, b) found also gives (rep[low ^ b], rep[low ^ a]), low = 2^k - 1.
+
+    The half-cube is read one of two ways.  The pair path reads every word
+    through rep; peeling takes the half-cube as a bitset S over the 2^k
+    words (an AND of _word_planes(k) over the fixed bits) and, while S is
+    not empty, takes the class a of its lowest word, removes a's words
+    from S, shifts them by d, and peels each partner class b off the
+    shifted set, one edge (a, b) each.  The class bitsets are built per
+    stage on first use.  The cost model: peeling costs a few big-int
+    operations per distinct class and edge instead of one set insertion
+    per word, so a set is peeled when its half-cube has more words than
+    the stage has classes; and the class bitsets take count bits per word,
+    so peeling runs only while count is at most _PEEL_CLASSES (256 bits,
+    about the class list's own size per word).
+
+    The class count doubles with rep and falls by one per merge.
+    """
+    rep = [0]
+    count = 1
+    for k, group in enumerate(_by_top(data, n)):
+        edges = _stage_edges(rep, group, k, count)
+        top = 1 << k
+        rep += [r | top for r in rep]
+        count *= 2
+        if edges:
+            rep, merges = _joined(rep, ((x, y | top) for x, y in edges))
+            count -= merges
+    return rep, count
+
+
 def _restrict(M, rep_of, restriction):
     """(rep_of, class count) cut down to the admitted words."""
-    outside = _cube_minima(M)[0 if restriction == "acyclic" else 1]
+    outside = _cube(M)[0][0 if restriction == "acyclic" else 1]
     out = [-1] * len(rep_of)
     count = 0
     for A, rep in enumerate(rep_of):
@@ -149,7 +333,7 @@ def reversal_classes(M, mode: str = "both", restriction: str = "all") -> Reversa
         rep_of, merges = _joined(list(base), set(zip(base, map(base.__getitem__, fine.rep_of))))
         count = coarse.class_count - merges
     else:
-        rep_of, count = _cube_forests(M)[0 if mode == "circuit" else 1]
+        rep_of, count = _forest(M.circuit_data if mode == "circuit" else M.cocircuit_data, M.n)
 
     partition = ReversalPartition(mode, restriction, M.n, rep_of, count)
     M._cache[key] = partition
@@ -185,7 +369,7 @@ def find_minimal_pair_in_class(M, mode: str = "cocircuit", restriction: str = "a
     (mode='cocircuit', restriction='acyclic').
     """
     partition = reversal_classes(M, mode, restriction)
-    circ, cocirc = _cube_minima(M)
+    circ, cocirc = _cube(M)[0]
     first_minimal = {}
     best = None
     for A, rep in enumerate(partition.rep_of):

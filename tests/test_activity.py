@@ -28,7 +28,7 @@ from omrev import (
     tutte_polynomial,
     tutte_via_activities,
 )
-from omrev import activity
+from omrev import activity, reversal
 from omrev.core import LOWEST_WORDS
 from oracles import cube_minima_ref, greedy_minimalize_ref, is_minimal_ref, minimal_counts_ref
 
@@ -123,12 +123,13 @@ class TestMinimalCounts:
             for order in (None,) + tuple(_shuffled_orders(M.n, 2, seed=11)):
                 assert minimal_counts(M, order) == minimal_counts_ref(M, order)
 
-    def test_builds_no_forests(self):
+    def test_builds_no_forests(self, monkeypatch):
         # the reversal forests are built only for reversal queries
         M = get_instance("u35")
+        monkeypatch.setattr(reversal, "_forest", None)
         minimal_counts(M)
         minimal_counts(M, tuple(range(M.n))[::-1])
-        assert "forests" not in M._cache
+        assert not [key for key in M._cache if key[0] == "reversal"]
 
     def test_tables_read_the_bitsets_validate_left(self, monkeypatch):
         # validate's tiling pass leaves the identity order's per-element
@@ -140,13 +141,13 @@ class TestMinimalCounts:
             assert LOWEST_WORDS in M._cache, name
             with monkeypatch.context() as patched:
                 patched.setattr(activity, "_positive_words", None)
-                tables = activity._cube_minima(M)
+                tables = activity._cube(M)[0]
                 counts = minimal_counts(M)
             assert LOWEST_WORDS not in M._cache, name
             assert tables == cube_minima_ref(M), name
             assert counts == minimal_counts_ref(M, None), name
             reversed_order = tuple(range(M.n))[::-1]
-            assert activity._cube_minima(M, reversed_order) == cube_minima_ref(M, reversed_order)
+            assert activity._cube(M, reversed_order)[0] == cube_minima_ref(M, reversed_order)
 
     @settings(max_examples=20, deadline=None)
     @given(SMALL_MATRICES)

@@ -447,6 +447,21 @@ class TestMainContract:
         assert main(["analyze", "tri", "--order", "0,0,1"]) == 1
         assert "permutation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message", [(["--order", "0,1,2"], "permutation"), (["--verbose"], "n <= 12")]
+    )
+    def test_bad_analyze_options_fail_before_the_analysis(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        def fail(M):
+            raise AssertionError("tutte_polynomial ran")
+
+        monkeypatch.setattr(cli, "tutte_polynomial", fail)
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"source": _line(13)}))
+        assert main(["analyze", str(path), *flags]) == 1
+        assert message in capsys.readouterr().err
+
     def test_usage_errors_exit_1(self):
         for argv in ([], ["bogus"], ["analyze"], ["analyze", "tri", "--out", "xml"]):
             with pytest.raises(SystemExit) as err:

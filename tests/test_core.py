@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omrev import (
+    MAX_ELEMENTS,
     InvalidOrientedMatroid,
     OrientedMatroid,
     SignedSet,
@@ -18,6 +19,7 @@ from omrev import (
     positive_sets,
     validate,
 )
+from omrev import core
 from omrev.core import _untiled_word
 from oracles import orthogonality_ref, tiling_ref
 
@@ -156,6 +158,21 @@ class TestGraphBuild:
         with pytest.raises(ValueError):
             build_from_graph([(0, 1)], vertices=1)
 
+    def test_large_vertex_ids_add_no_rows(self, monkeypatch):
+        # only endpoints of non-loop edges get incidence rows, so a vertex
+        # id of a million costs what a compact numbering costs
+        heights = []
+
+        def spy(matrix, real=core.build_from_matrix, **kwargs):
+            heights.append(len(matrix))
+            return real(matrix, **kwargs)
+
+        monkeypatch.setattr(core, "build_from_matrix", spy)
+        M = build_from_graph([(0, 1), (1, 0), (0, 10**6)])
+        compact = build_from_graph([(0, 1), (1, 0), (0, 2)])
+        assert M == compact and M.rank == compact.rank == 2
+        assert heights == [3, 3]
+
 
 class TestUniformBuild:
     def test_u24(self):
@@ -207,6 +224,17 @@ class TestSignedSetBuild:
             [((0,), (1,)), ((0, 2), ()), ((1, 2), ())],
         )
         assert len(M.circuits) == 1
+
+    def test_element_past_the_cap_rejected_before_the_rank(self, monkeypatch):
+        # the element is checked before its shift: no 2^100000-bit ground
+        # mask reaches the rank oracle
+        def fail(*args):
+            raise AssertionError("_greedy_rank ran")
+
+        monkeypatch.setattr(core, "_greedy_rank", fail)
+        source = {"signed": {"circuits": [{"pos": [0, 10**5]}], "cocircuits": []}}
+        with pytest.raises(ValueError, match="hard cap is %d" % MAX_ELEMENTS):
+            instance_from_dict({"source": source})
 
     def test_dict_form(self):
         M = build_from_signed_sets(

@@ -24,8 +24,9 @@ from omrev import (
     reversal_counts,
     same_class,
 )
-from omrev import activity
-from omrev.activity import _cube_forests, _cube_minima
+from omrev import reversal
+from omrev.activity import _cube
+from omrev.cli import analyze_instance
 from omrev.reversal import MODES, RESTRICTIONS, SETTINGS, reversal_classes
 from oracles import (
     bfs_classes,
@@ -180,11 +181,12 @@ def _assert_matches_flat_loops(M, *orders):
     """
     assert not M._cache, M.name
     reversed_order = tuple(range(M.n))[::-1]
-    assert _cube_minima(M, reversed_order) == cube_minima_ref(M, reversed_order), M.name
-    forests = _cube_forests(M)
+    assert _cube(M, reversed_order)[0] == cube_minima_ref(M, reversed_order), M.name
+    bases = _base_partitions(M)
     for order in (None,) + orders:
-        assert _cube_minima(M, order) == cube_minima_ref(M, order), (M.name, order)
-    assert _cube_forests(M) is forests, M.name
+        assert _cube(M, order)[0] == cube_minima_ref(M, order), (M.name, order)
+    assert all(P is Q for P, Q in zip(_base_partitions(M), bases)), M.name
+    forests = tuple((P.rep_of, P.class_count) for P in bases)
     assert forests == (sweep_ref(M, M.circuit_data), sweep_ref(M, M.cocircuit_data)), M.name
     for mode, restriction in ACCEPTED:
         expected = reversal_classes_ref(M, mode, restriction)
@@ -232,6 +234,15 @@ def _seventeen():
     )
 
 
+def _base_partitions(M):
+    """circuit/all and cocircuit/all, each built by reversal._forest on first request."""
+    return [reversal_classes(M, kind, "all") for kind in ("circuit", "cocircuit")]
+
+
+def _forests(M):
+    return tuple((P.rep_of, P.class_count) for P in _base_partitions(M))
+
+
 def _forests_ref(M):
     return sweep_ref(M, M.circuit_data), sweep_ref(M, M.cocircuit_data)
 
@@ -239,7 +250,7 @@ def _forests_ref(M):
 PAIRS, PEELING = "_pair_edges", "_peeled_edges"
 K5_EDGES = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 
-# instances on both sides of the cost model in activity._stage_edges, with
+# instances on both sides of the cost model in reversal._stage_edges, with
 # the edge paths their two forests take: low-rank uniform circuits have
 # half-cubes far larger than their stage's class count, graphs have many
 # classes, and the n = 17 instance peels two of its cocircuits
@@ -255,16 +266,29 @@ EDGE_PATH_CASES = {
 
 
 def _spy_on_edge_paths(monkeypatch):
-    """The set of edge paths activity._stage_edges takes from now on."""
+    """The set of edge paths reversal._stage_edges takes from now on."""
     taken = set()
     for name in (PAIRS, PEELING):
 
-        def spy(*args, real=getattr(activity, name), name=name):
+        def spy(*args, real=getattr(reversal, name), name=name):
             taken.add(name)
             return real(*args)
 
-        monkeypatch.setattr(activity, name, spy)
+        monkeypatch.setattr(reversal, name, spy)
     return taken
+
+
+def _spy_on_forest(monkeypatch, M):
+    """The stored kinds of M, by name, that reversal._forest builds from now on."""
+    kinds = {id(M.circuit_data): "circuit", id(M.cocircuit_data): "cocircuit"}
+    built = []
+
+    def spy(data, n, real=reversal._forest):
+        built.append(kinds[id(data)])
+        return real(data, n)
+
+    monkeypatch.setattr(reversal, "_forest", spy)
+    return built
 
 
 class TestAgainstFlatLoops:
@@ -292,8 +316,8 @@ class TestAgainstFlatLoops:
         # the reversed order the last pair's minimum is element 16
         M = _seventeen()
         for order in (None, tuple(range(17))[::-1]):
-            assert _cube_minima(M, order) == cube_minima_ref(M, order), order
-        assert _cube_forests(M) == _forests_ref(M)
+            assert _cube(M, order)[0] == cube_minima_ref(M, order), order
+        assert _forests(M) == _forests_ref(M)
 
     def test_seventeen_elements_memory_peak(self):
         # peeling's class bitsets are capped per word, so they stay below
@@ -302,7 +326,7 @@ class TestAgainstFlatLoops:
         M = _seventeen()
         tracemalloc.start()
         try:
-            _cube_forests(M)
+            _forests(M)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -315,7 +339,7 @@ class TestAgainstFlatLoops:
         make, paths = EDGE_PATH_CASES[name]
         M = make()
         taken = _spy_on_edge_paths(monkeypatch)
-        assert _cube_forests(M) == _forests_ref(M), name
+        assert _forests(M) == _forests_ref(M), name
         assert taken == paths, name
 
     @settings(max_examples=60, deadline=None)
@@ -324,7 +348,7 @@ class TestAgainstFlatLoops:
         # complement halving needs no axiom: a stored set is positive at A
         # iff it is positive at the complement of A, for any signed list
         M = _unvalidated_om(case)
-        assert _cube_forests(M) == _forests_ref(M)
+        assert _forests(M) == _forests_ref(M)
 
     def test_unvalidated_and_tiny(self):
         cases = (
@@ -346,6 +370,32 @@ class TestAgainstFlatLoops:
         )
         for M in cases:
             _assert_matches_flat_loops(M)
+
+
+class TestBuiltOnFirstRequest:
+    """Each base partition is built from its own kind, once, when first needed."""
+
+    def test_one_cocircuit_setting_builds_cocircuits_only(self, monkeypatch):
+        M = get_instance("u35")
+        built = _spy_on_forest(monkeypatch, M)
+        reversal_classes(M, "cocircuit", "acyclic")
+        find_minimal_pair_in_class(M, "cocircuit", "all")
+        assert built == ["cocircuit"]
+
+    def test_same_class_in_circuit_mode_builds_circuits_only(self, monkeypatch):
+        M = get_instance("tri")
+        built = _spy_on_forest(monkeypatch, M)
+        assert same_class(M, 0b100, 0b011, "circuit")
+        assert not same_class(M, 0, 0b100, "circuit")
+        assert built == ["circuit"]
+
+    @pytest.mark.parametrize("name", ["u35", "k4"])
+    def test_analysis_builds_each_kind_once(self, name, monkeypatch):
+        M = get_instance(name)
+        built = _spy_on_forest(monkeypatch, M)
+        analyze_instance(M)
+        analyze_instance(M, order=tuple(range(M.n))[::-1])
+        assert sorted(built) == ["circuit", "cocircuit"]
 
 
 class TestWordChecks:
