@@ -17,34 +17,31 @@ The active partition splits the ground set by threshold unions of positive
 supports; flipping whole parts generates the activity classes, which tile
 the cube with one minimal reorientation in each class.
 
-Whole-cube questions are views over builds memoized on M: here the
-minima tables of _cube, in module reversal the reversal forests.  Both
-work on Python big-int bitsets and whole lists at C speed rather than in
-per-word Python loops.
+Whole-cube questions are views over builds memoized on M: here the word
+bitsets of _cube, in module reversal the reversal forests.  Both work on
+Python big-int bitsets and whole lists at C speed rather than in per-word
+Python loops.
 
-_cube builds one table per kind and order.  A stored set X is
-positive exactly at the words B | X- and B | X+ over the subsets B of the
-complement of its support; core._positive_words gives those words as one
-bitset over the 2^n words.  The bitsets of the sets whose order-minimum
-is e are ORed into one bitset per element, and _bit_table turns the n
-bitsets into one array entry per word.  Entry bits are the (dual-)active
-elements, a zero entry means no positive set of that kind, and
-A & entry == 0 means A is minimal for that kind.  The same pass keeps, per
-kind, the bitsets of the words with a nonzero entry and of those with
-A & entry nonzero; minimal_counts is popcounts of them.
+_cube builds, per kind and order, one bitset per element.  A stored set
+X is positive exactly at the words B | X- and B | X+ over the subsets B
+of the complement of its support, one bitset by core._positive_words.
+Those of the sets whose order-minimum is e are ORed into hits[e], so bit
+A of hits[e] is set iff e is (dual-)active at A; for the identity order,
+validate's tiling pass has already built them when it ran on M.  The
+same pass keeps, per kind, the words with a positive set and those
+holding the minimum of one; minimal_counts is popcounts of them.
+tutte_via_activities counts active and dual-active elements per word
+with tutte's bit-sliced counter.  Only activity_report, which lists
+every word, turns the hits into one int per word, and keeps nothing.
 
 greedy_ends gives the endpoint of the greedy walk from every word at
 once: the supports, in the walk's key order, claim the words where the
 walk flips them, _bit_table turns the claims into one step list, and
 pointer doubling composes it.
 
-When validate ran on M, its tiling pass has already ORed every stored
-set's positive words into the bitset of the set's lowest element; _cube
-takes those for the identity order instead of computing them again.
-
 One-word queries are views over core._positive, which lists the stored
 sets of one kind that are positive at a word; they never build the
-arrays.
+bitsets.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ from .core import (
     _positive_words,
     _word_planes,
 )
-from .tutte import TuttePolynomial
+from .tutte import TuttePolynomial, _joint_counts
 
 MODES = ("circuit", "cocircuit", "both")
 
@@ -94,21 +91,14 @@ def _min_bit(supp_mask, positions):
 
 
 def _cube(M, order=None):
-    """((circuit minima, cocircuit minima), (held, positive) bitsets of each kind).
+    """((circuit hits, cocircuit hits), (held, positive) bitsets of each kind).
 
-    A minima table has one array entry per word A: the OR of the
-    order-minimum bits of the stored sets of that kind that are positive
-    at A.  Per element e, the words where e is the minimum of some
-    positive set form the OR of those sets' _positive_words; _bit_table
-    turns the n bitsets into the table.  Equal orders share one memo entry
-    whatever their sequence type.
-
-    The bitsets are over the 2^n words, circuits first: "positive" holds
-    the words where the kind's table entry is nonzero, i.e. with some
-    positive set of that kind, and "held" those where A & entry is
-    nonzero, i.e. that hold the order-minimum of one.  The identity
-    order's per-element bitsets are the ones validate's tiling pass left
-    on M, when it ran; they are taken off the memo once read.
+    Bit A of hits[e] is set when e is the order-minimum of a positive set
+    of that kind at A.  Per kind, "positive" holds the words with some
+    positive set, and "held" those where A holds the order-minimum of one.
+    Equal orders share one memo entry whatever their sequence type.  The
+    identity order's hits are the ones validate's tiling pass left on M,
+    when it ran; they are taken off the memo once read.
     """
     positions = _positions(M.n, order)
     key = ("cube", positions if positions is None else tuple(positions))
@@ -126,16 +116,14 @@ def _cube(M, order=None):
                 e = _min_bit(supp, positions).bit_length() - 1
                 hits[e] |= _positive_words(planes, supp, pos, neg)
             per_kind.append(hits)
-    tables = []
     bits = []
     for hits in per_kind:
-        tables.append(_bit_table(hits, M.n))
         held = positive = 0
         for (_, P), words in zip(planes, hits):
             held |= words & P
             positive |= words
         bits += [held, positive]
-    hit = M._cache[key] = (tuple(tables), tuple(bits))
+    hit = M._cache[key] = (tuple(per_kind), tuple(bits))
     return hit
 
 
@@ -214,8 +202,8 @@ def minimal_counts(M, order=None):
 
     These equal the Tutte evaluations t(1,1), t(1,2), t(2,1), t(1,0),
     t(0,1) for every oriented matroid and every ground order.  Each count
-    is 2^n less the popcount of the words it excludes, read from the
-    bitsets _cube keeps next to the tables.
+    is 2^n less the popcount of the words it excludes, read from _cube's
+    held and positive bitsets.
     """
     held_c, positive_c, held_d, positive_d = _cube(M, order)[1]
     excluded = (held_c | held_d, held_d, held_c, held_d | positive_c, held_c | positive_d)
@@ -456,32 +444,27 @@ def activity_classes(M, order=None) -> ActivityClasses:
 def tutte_via_activities(M, order=None) -> TuttePolynomial:
     """Tutte polynomial from the orientation-activity generating sum.
 
-    Groups reorientations by (o, o*) and divides each count by 2^(o + o*);
-    a non-integral division or an out-of-range activity means the input is
-    not a valid oriented matroid and raises InvalidOrientedMatroid.
+    Counts the reorientations by (o, o*), bit-sliced over _cube's hits,
+    and divides each count by 2^(o + o*); a non-integral division or an
+    out-of-range activity (reported at the lowest such word) means the
+    input is not a valid oriented matroid and raises InvalidOrientedMatroid.
     """
     r, nul = M.rank, M.n - M.rank
-    counts = [[0] * (nul + 1) for _ in range(r + 1)]
-    for A, act, dact in zip(range(1 << M.n), *_cube(M, order)[0]):
-        o = act.bit_count()
-        o_star = dact.bit_count()
-        if o_star > r or o > nul:
-            raise InvalidOrientedMatroid(
-                "activities (%d, %d) at reorientation %d exceed rank/nullity of %s"
-                % (o, o_star, A, M.name)
-            )
-        counts[o_star][o] += 1
-    coeffs = [[0] * (nul + 1) for _ in range(r + 1)]
-    for i in range(r + 1):
-        for j in range(nul + 1):
-            c = counts[i][j]
-            denom = 1 << (i + j)
-            if c % denom:
+    act, dact = _cube(M, order)[0]
+    counts, A = _joint_counts(dact, act, r, nul, M.n)
+    if A is not None:
+        raise InvalidOrientedMatroid(
+            "activities (%d, %d) at reorientation %d exceed rank/nullity of %s"
+            % (sum(h >> A & 1 for h in act), sum(h >> A & 1 for h in dact), A, M.name)
+        )
+    for i, row in enumerate(counts):
+        for j, c in enumerate(row):
+            if c % (1 << (i + j)):
                 raise InvalidOrientedMatroid(
                     "activity count %d at (o*=%d, o=%d) of %s is not divisible by 2^%d"
                     % (c, i, j, M.name, i + j)
                 )
-            coeffs[i][j] = c // denom
+    coeffs = [[c >> i + j for j, c in enumerate(row)] for i, row in enumerate(counts)]
     return TuttePolynomial(r, coeffs)
 
 
@@ -494,7 +477,8 @@ def activity_report(M, order=None):
     if M.n > 12:
         raise ValueError("activity_report is limited to n <= 12, got n=%d" % M.n)
     records = []
-    for A, act, dact in zip(range(1 << M.n), *_cube(M, order)[0]):
+    tables = (_bit_table(hits, M.n) for hits in _cube(M, order)[0])
+    for A, act, dact in zip(range(1 << M.n), *tables):
         circ_hit = A & act
         coc_hit = A & dact
         records.append(

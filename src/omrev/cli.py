@@ -356,13 +356,13 @@ def _verify_entry(entry, stream):
             )
             checked += 1
 
-    # every word's walk ends at a minimal word (read from the minima
-    # tables) of its own both/all class; only on failure is the first
-    # failing word looked for, word by word
+    # every word's walk ends at a minimal word of its own both/all class;
+    # only on failure is the first failing word looked for, word by word
     ends = greedy_minimalize(M)
-    circ, cocirc = _cube(M)[0]
+    held_c, _, held_d, _ = _cube(M)[1]
+    held = held_c | held_d
     rep = partitions[0].rep_of
-    if any(B & (circ[B] | cocirc[B]) for B in set(ends)) or list(map(rep.__getitem__, ends)) != rep:
+    if any(held >> B & 1 for B in set(ends)) or list(map(rep.__getitem__, ends)) != rep:
         A = next(
             A
             for A, B in enumerate(ends)

@@ -77,6 +77,8 @@ class SignedSet:
         neg_mask = neg if isinstance(neg, int) else _mask_of(neg)
         if pos_mask < 0 or neg_mask < 0:
             raise ValueError("element masks must be nonnegative")
+        if (pos_mask | neg_mask) >> MAX_ELEMENTS:
+            raise ValueError("element masks must lie below bit %d, the hard cap" % MAX_ELEMENTS)
         if pos_mask & neg_mask:
             raise ValueError("positive and negative parts overlap")
         supp = pos_mask | neg_mask
@@ -585,8 +587,8 @@ def _untiled_word(M):
     e lies in the cyclic (acyclic) part at A.  A word splits iff, for every
     e, exactly one of the two holds it.  The same pass ORs each set's
     words into the bitset of its lowest element, and leaves those on M's
-    memo as LOWEST_WORDS, where activity._cube reads its identity-order
-    tables from them.
+    memo as LOWEST_WORDS, where activity._cube takes them as its
+    identity-order hits.
     """
     planes = _word_planes(M.n)
     parts = []

@@ -6,7 +6,7 @@ positive there.  Each setting's partition is a list mapping every word to
 its class minimum, built on its first request and memoized on M.
 
 _forest builds a base partition, circuit/all or cocircuit/all, from its
-one stored kind; no minima table or order is involved.  It grows one
+one stored kind; no activity bitset or order is involved.  It grows one
 element at a time: a set whose largest element is k never reads or flips
 bit k+1 or above, so the partition over bits 0..k-1 is doubled onto the
 words with bit k set, and only then do the sets with top element k join
@@ -24,11 +24,11 @@ class in the coarser one to the class there of its representative in the
 finer one, and the distinct links are united; its class count is the
 coarser one's less the merges.  A restricted setting is its mode's all
 partition cut down to the admitted words: acyclic (no positive circuit)
-or totally cyclic (no positive cocircuit), read from the minima tables.
-In a valid oriented matroid no reversal moves the acyclic/cyclic split,
-so every class is wholly admitted or wholly outside; a mixed class means
-a permitted reversal leaves the admitted set and raises
-InvalidOrientedMatroid.
+or totally cyclic (no positive cocircuit), read from activity._cube's
+positive bitsets.  In a valid oriented matroid no reversal moves the
+acyclic/cyclic split, so every class is wholly admitted or wholly
+outside; a mixed class means a permitted reversal leaves the admitted set
+and raises InvalidOrientedMatroid.
 
 The class counts in the five standard settings are bounded above by, and
 for regular instances equal to, the Tutte evaluations t(1,1), t(1,2),
@@ -36,6 +36,8 @@ t(2,1), t(1,0), t(0,1).
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 from .activity import MODES, _cube
 from .core import (
@@ -294,21 +296,24 @@ def _forest(data, n):
     return rep, count
 
 
+def _clear_words(bits, size):
+    """One byte per word A < size: 1 if bit A of bits is clear, else 0."""
+    return format(bits, "0%db" % size)[::-1].encode().translate(bytes.maketrans(b"01", b"\1\0"))
+
+
 def _restrict(M, rep_of, restriction):
     """(rep_of, class count) cut down to the admitted words."""
-    outside = _cube(M)[0][0 if restriction == "acyclic" else 1]
-    out = [-1] * len(rep_of)
-    count = 0
-    for A, rep in enumerate(rep_of):
-        if (outside[A] == 0) != (outside[rep] == 0):
-            raise InvalidOrientedMatroid(
-                "reversal class of %d mixes %s and other words of %s: a reversal "
-                "leaves the admitted set" % (rep, restriction, M.name)
-            )
-        if outside[A] == 0:
-            out[A] = rep
-            count += rep == A
-    return out, count
+    size = len(rep_of)
+    positive = _cube(M)[1][1 if restriction == "acyclic" else 3]
+    admitted = _clear_words(positive, size)
+    kept = set(compress(rep_of, admitted))
+    if not kept.isdisjoint(compress(rep_of, _clear_words(positive ^ (1 << size) - 1, size))):
+        rep = next(rep for A, rep in enumerate(rep_of) if admitted[A] != admitted[rep])
+        raise InvalidOrientedMatroid(
+            "reversal class of %d mixes %s and other words of %s: a reversal "
+            "leaves the admitted set" % (rep, restriction, M.name)
+        )
+    return [rep if a else -1 for rep, a in zip(rep_of, admitted)], len(kept)
 
 
 def reversal_classes(M, mode: str = "both", restriction: str = "all") -> ReversalPartition:
@@ -359,23 +364,24 @@ def same_class(M, A: int, B: int, mode: str = "both", restriction: str = "all") 
 def find_minimal_pair_in_class(M, mode: str = "cocircuit", restriction: str = "acyclic"):
     """Two distinct minimal reorientations sharing a reversal class, or None.
 
-    Minimality is read from activity's minima tables with the
+    Minimality is read from activity._cube's held bitsets with the
     matching mode: a member is minimal when it holds the minimum of no
     positive set of the mode's kinds, as in module activity's is_minimal.
-    The scan is deterministic: among all classes holding two or more minimal
-    members, it returns the lexicographically first pair (A, B), A < B.
+    Only the admitted minimal words are visited, in ascending order, so
+    among all classes holding two or more minimal members the scan returns
+    the lexicographically first pair (A, B), A < B.
     For a regular instance every setting returns None; a non-regular
     loopless instance must yield a pair in the default setting
     (mode='cocircuit', restriction='acyclic').
     """
-    partition = reversal_classes(M, mode, restriction)
-    circ, cocirc = _cube(M)[0]
+    rep_of = reversal_classes(M, mode, restriction).rep_of
+    held_c, positive_c, held_d, positive_d = _cube(M)[1]
+    outside = (0 if mode == "cocircuit" else held_c) | (0 if mode == "circuit" else held_d)
+    outside |= {"all": 0, "acyclic": positive_c, "totally_cyclic": positive_d}[restriction]
     first_minimal = {}
     best = None
-    for A, rep in enumerate(partition.rep_of):
-        hits = (0 if mode == "cocircuit" else circ[A]) | (0 if mode == "circuit" else cocirc[A])
-        if rep < 0 or A & hits:
-            continue
+    for A in compress(range(len(rep_of)), _clear_words(outside, len(rep_of))):
+        rep = rep_of[A]
         if rep in first_minimal:
             pair = (first_minimal[rep], A)
             if best is None or pair < best:

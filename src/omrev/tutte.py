@@ -150,11 +150,31 @@ def _count_planes(bitsets, full):
     return eq
 
 
+def _joint_counts(rows, cols, r, nul, n):
+    """(counts, lowest word out of range) of two lists of bitsets over the 2^n words.
+
+    counts[i][j] is the number of words held by exactly i of rows and j
+    of cols, for i <= r and j <= nul; the word is the lowest one held by
+    more than r of rows or more than nul of cols, or None.
+    """
+    full = (1 << (1 << n)) - 1
+    over = 0
+    eqs = []
+    for bitsets, limit in ((rows, r), (cols, nul)):
+        k = max(limit + 1, 0)
+        eq = _count_planes(bitsets, full) + [0] * k
+        for words in eq[k:]:
+            over |= words
+        eqs.append(eq[:k])
+    counts = [[(a & b).bit_count() for b in eqs[1]] for a in eqs[0]]
+    return counts, (over & -over).bit_length() - 1 if over else None
+
+
 def tutte_polynomial(M) -> TuttePolynomial:
     """Exact Tutte polynomial of M by the 2^n corank-nullity sum.
 
     Subset ranks and nullities are summed over all words at once, bit-sliced;
-    cn[a][b] counts the words of corank a and nullity b.  A word whose
+    counts[r - a][b] counts the words of corank a and nullity b.  A word whose
     greedy rank or nullity exceeds that of the ground set means the circuit
     list is not a matroid's and raises InvalidOrientedMatroid.
     """
@@ -167,32 +187,20 @@ def tutte_polynomial(M) -> TuttePolynomial:
         raise InvalidOrientedMatroid(
             "stored rank %d of %s differs from circuit rank %d" % (r, M.name, oracle_rank)
         )
-    full = (1 << (1 << n)) - 1
-    ranks = _count_planes(kept, full)
-    nullities = _count_planes([P ^ k for (_, P), k in zip(planes, kept)], full)
-    beyond = 0
-    for v in range(r + 1, len(ranks)):
-        beyond |= ranks[v]
-    for v in range(nul + 1, len(nullities)):
-        beyond |= nullities[v]
-    if beyond:
-        S = (beyond & -beyond).bit_length() - 1
+    counts, S = _joint_counts(kept, [P ^ k for (_, P), k in zip(planes, kept)], r, nul, n)
+    if S is not None:
         rs = sum(k >> S & 1 for k in kept)
         raise InvalidOrientedMatroid(
             "subset %s (word %d) of %s has greedy rank %d and nullity %d, above the "
             "rank %d and nullity %d of the ground set"
             % (set(_elements_of(S)), S, M.name, rs, S.bit_count() - rs, r, nul)
         )
-    cn = [
-        [(ranks[r - a] & nullities[b]).bit_count() for b in range(nul + 1)]
-        for a in range(r + 1)
-    ]
     coeffs = [[0] * (nul + 1) for _ in range(r + 1)]
     for i in range(r + 1):
         for j in range(nul + 1):
             total = 0
             for a in range(i, r + 1):
-                row = cn[a]
+                row = counts[r - a]
                 ca = comb(a, i) * (-1) ** (a - i)
                 for b in range(j, nul + 1):
                     if row[b]:

@@ -8,8 +8,10 @@ structure comes from breadth-first closure instead of a union-find forest.
 The exceptions are the per-word loops the package's bitset kernels
 replaced.  cube_minima_ref and sweep_ref visit, for each stored set, all
 2^(n - |X|) words where it is positive, one word at a time; they pin the
-minima tables built from word bitsets and the forests built from class
-edges, and reuse the package's order helpers.
+per-element word bitsets, as tables, and the forests built from class
+edges, and reuse the package's order helpers.  tutte_via_activities_ref
+sums the activities word by word over cube_minima_ref's tables; it pins
+the bit-sliced activity sum, on any signed lists.
 subset_greedy_ref runs the circuit-greedy rank word by word, and
 tutte_polynomial_ref sums the corank-nullity expansion over it; they pin
 the bit-sliced sum in tutte_polynomial, on any circuit list.
@@ -290,6 +292,37 @@ def cube_minima_ref(M, order=None):
                 B = (B - 1) & comp
         tables.append(table)
     return tuple(tables)
+
+
+def tutte_via_activities_ref(M, order=None):
+    """The activity generating sum word by word over the cube_minima_ref tables.
+
+    Raises on the first word whose o exceeds the nullity or o* the rank,
+    then on the first (o*, o) count not divisible by 2^(o + o*), with the
+    package's messages.
+    """
+    r, nul = M.rank, M.n - M.rank
+    counts = [[0] * (nul + 1) for _ in range(r + 1)]
+    for A, act, dact in zip(range(1 << M.n), *cube_minima_ref(M, order)):
+        o = act.bit_count()
+        o_star = dact.bit_count()
+        if o_star > r or o > nul:
+            raise InvalidOrientedMatroid(
+                "activities (%d, %d) at reorientation %d exceed rank/nullity of %s"
+                % (o, o_star, A, M.name)
+            )
+        counts[o_star][o] += 1
+    coeffs = [[0] * (nul + 1) for _ in range(r + 1)]
+    for i in range(r + 1):
+        for j in range(nul + 1):
+            c = counts[i][j]
+            if c % (1 << (i + j)):
+                raise InvalidOrientedMatroid(
+                    "activity count %d at (o*=%d, o=%d) of %s is not divisible by 2^%d"
+                    % (c, i, j, M.name, i + j)
+                )
+            coeffs[i][j] = c >> (i + j)
+    return TuttePolynomial(r, coeffs)
 
 
 def _union_find(parent):

@@ -1,4 +1,7 @@
 import random
+import re
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,8 +32,16 @@ from omrev import (
     tutte_via_activities,
 )
 from omrev import activity, reversal
-from omrev.core import LOWEST_WORDS
-from oracles import cube_minima_ref, greedy_minimalize_ref, is_minimal_ref, minimal_counts_ref
+from omrev.cli import analyze_instance
+from omrev.core import LOWEST_WORDS, _bit_table, _greedy_rank
+from oracles import (
+    cube_minima_ref,
+    greedy_minimalize_ref,
+    is_minimal_ref,
+    minimal_counts_ref,
+    tutte_via_activities_ref,
+)
+from test_core import _unvalidated_lists, _unvalidated_om
 
 # small integer matrices: 2 or 3 rows of 4 columns, entries in -2..2
 SMALL_MATRICES = st.lists(
@@ -48,6 +59,19 @@ def _shuffled_orders(n, count, seed):
         rng.shuffle(order)
         out.append(tuple(order))
     return out
+
+
+def _tables(M, order=None):
+    """_cube's per-element hits of both kinds, as one array entry per word."""
+    return tuple(_bit_table(hits, M.n) for hits in activity._cube(M, order)[0])
+
+
+def _outcome(function, M, order):
+    """function(M, order), or the type and message of the ValueError it raises."""
+    try:
+        return function(M, order)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def _catalog_and_duals(max_n=10):
@@ -141,13 +165,13 @@ class TestMinimalCounts:
             assert LOWEST_WORDS in M._cache, name
             with monkeypatch.context() as patched:
                 patched.setattr(activity, "_positive_words", None)
-                tables = activity._cube(M)[0]
+                tables = _tables(M)
                 counts = minimal_counts(M)
             assert LOWEST_WORDS not in M._cache, name
             assert tables == cube_minima_ref(M), name
             assert counts == minimal_counts_ref(M, None), name
             reversed_order = tuple(range(M.n))[::-1]
-            assert activity._cube(M, reversed_order)[0] == cube_minima_ref(M, reversed_order)
+            assert _tables(M, reversed_order) == cube_minima_ref(M, reversed_order)
 
     @settings(max_examples=20, deadline=None)
     @given(SMALL_MATRICES)
@@ -156,6 +180,34 @@ class TestMinimalCounts:
 
         M = build_from_matrix(rows)
         assert minimal_counts(M) == evaluations(tutte_polynomial(M))
+
+    def test_memory_peak_at_seventeen_elements(self):
+        # the cube keeps n bitsets of 2^n bits per kind, 0.99 MB here; two
+        # tables of one 8-byte entry per word would take it to 4.33 MB
+        from test_reversal import _seventeen
+
+        M = _seventeen()
+        tracemalloc.start()
+        try:
+            minimal_counts(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6, peak
+
+    def test_analysis_memoizes_no_table(self):
+        # activity_report turns the hits into tables for its own records
+        # and drops them; the memo keeps bitsets, lists and partitions
+        def leaves(values):
+            for value in values:
+                if isinstance(value, tuple):
+                    yield from leaves(value)
+                else:
+                    yield value
+
+        M = get_instance("u25")
+        analyze_instance(M, tuple(range(M.n))[::-1], verbose=True)
+        assert M._cache and not any(isinstance(v, array) for v in leaves(M._cache.values()))
 
 
 class TestGreedyMinimalize:
@@ -318,6 +370,33 @@ class TestTutteViaActivities:
         M = get_instance("u24")
         for order in _shuffled_orders(M.n, 3, seed=3):
             assert tutte_via_activities(M, order) == tutte_polynomial(M)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_unvalidated_lists(9), st.sampled_from((0, 0, 0, -1, 1)))
+    def test_unvalidated_lists_against_per_word_sum(self, case, shift):
+        # any signed lists; the stored rank is mostly the greedy rank of
+        # the circuit supports and sometimes off by one
+        lists = _unvalidated_om(case)
+        M = OrientedMatroid(
+            lists.n,
+            _greedy_rank([s for s, _, _ in lists.circuit_data], lists.ground_mask) + shift,
+            lists.circuits,
+            lists.cocircuits,
+        )
+        for order in (None, tuple(range(M.n))[::-1]):
+            assert _outcome(tutte_via_activities, M, order) == _outcome(
+                tutte_via_activities_ref, M, order
+            )
+
+    def test_range_check_names_the_lowest_word(self):
+        # the loop {1} is positive everywhere and the circuit 0+ 1- at the
+        # words 1 and 2, so word 1 is the first with two active elements
+        # against nullity 1
+        M = OrientedMatroid(2, 1, [SignedSet((1,)), SignedSet((0,), (1,))], [], "hand")
+        message = "activities (2, 0) at reorientation 1 exceed rank/nullity of hand"
+        assert _outcome(tutte_via_activities_ref, M, None) == (InvalidOrientedMatroid, message)
+        with pytest.raises(InvalidOrientedMatroid, match=re.escape(message)):
+            tutte_via_activities(M)
 
 
 class TestActivityReport:

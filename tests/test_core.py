@@ -236,6 +236,19 @@ class TestSignedSetBuild:
         with pytest.raises(ValueError, match="hard cap is %d" % MAX_ELEMENTS):
             instance_from_dict({"source": source})
 
+    def test_mask_past_the_cap_rejected_before_the_rank(self, monkeypatch):
+        # integer masks are checked in SignedSet: no 40,001-bit ground mask
+        # reaches the rank oracle
+        def fail(*args):
+            raise AssertionError("_greedy_rank ran")
+
+        monkeypatch.setattr(core, "_greedy_rank", fail)
+        with pytest.raises(ValueError, match="hard cap"):
+            build_from_signed_sets([(1 | 1 << 40000, 0)], [])
+        with pytest.raises(ValueError, match="below bit %d" % MAX_ELEMENTS):
+            SignedSet(0, 1 << MAX_ELEMENTS)
+        assert SignedSet(1 << (MAX_ELEMENTS - 1), 1).support_mask == 1 | 1 << (MAX_ELEMENTS - 1)
+
     def test_dict_form(self):
         M = build_from_signed_sets(
             [{"pos": [0, 1], "neg": [2]}],

@@ -25,7 +25,6 @@ from omrev import (
     same_class,
 )
 from omrev import reversal
-from omrev.activity import _cube
 from omrev.cli import analyze_instance
 from omrev.reversal import MODES, RESTRICTIONS, SETTINGS, reversal_classes
 from oracles import (
@@ -35,7 +34,7 @@ from oracles import (
     reversal_classes_ref,
     sweep_ref,
 )
-from test_activity import SMALL_MATRICES, _catalog_and_duals
+from test_activity import SMALL_MATRICES, _catalog_and_duals, _tables
 from test_core import _unvalidated_lists, _unvalidated_om
 
 ORACLE_NAMES = ("tri", "u24", "u25", "u35", "loop-plus-triangle", "path2", "loop1")
@@ -181,10 +180,10 @@ def _assert_matches_flat_loops(M, *orders):
     """
     assert not M._cache, M.name
     reversed_order = tuple(range(M.n))[::-1]
-    assert _cube(M, reversed_order)[0] == cube_minima_ref(M, reversed_order), M.name
+    assert _tables(M, reversed_order) == cube_minima_ref(M, reversed_order), M.name
     bases = _base_partitions(M)
     for order in (None,) + orders:
-        assert _cube(M, order)[0] == cube_minima_ref(M, order), (M.name, order)
+        assert _tables(M, order) == cube_minima_ref(M, order), (M.name, order)
     assert all(P is Q for P, Q in zip(_base_partitions(M), bases)), M.name
     forests = tuple((P.rep_of, P.class_count) for P in bases)
     assert forests == (sweep_ref(M, M.circuit_data), sweep_ref(M, M.cocircuit_data)), M.name
@@ -316,7 +315,7 @@ class TestAgainstFlatLoops:
         # the reversed order the last pair's minimum is element 16
         M = _seventeen()
         for order in (None, tuple(range(17))[::-1]):
-            assert _cube(M, order)[0] == cube_minima_ref(M, order), order
+            assert _tables(M, order) == cube_minima_ref(M, order), order
         assert _forests(M) == _forests_ref(M)
 
     def test_seventeen_elements_memory_peak(self):
