@@ -2,10 +2,11 @@
 checks for small oriented matroids (n <= 20).
 
 The package machine-checks, instance by instance, the identities tying
-reorientation combinatorics to Tutte evaluations: counts of minimal
-reorientations always match t(1,1), t(1,2), t(2,1), t(1,0), t(0,1), and
-reversal-class counts match exactly when the instance is regular, falling
-strictly below otherwise.
+reorientation combinatorics to Tutte evaluations: in each of the five
+settings of SETTINGS, the count of minimal reorientations always matches
+the evaluation at the setting's point, and the reversal-class count
+matches exactly when the instance is regular, falling strictly below
+otherwise.
 """
 
 from .activity import (
@@ -42,7 +43,6 @@ from .core import (
 from .regularity import RegularityVerdict, classify, is_binary
 from .reversal import (
     ReversalPartition,
-    SETTINGS,
     find_minimal_pair_in_class,
     reversal_classes,
     reversal_counts,
@@ -50,6 +50,7 @@ from .reversal import (
 )
 from .tutte import (
     EVAL_POINTS,
+    SETTINGS,
     TuttePolynomial,
     evaluations,
     rank,

@@ -10,8 +10,8 @@ o*(A) for the two counts, the orientation-activity generating sum
 
 recovers the Tutte polynomial exactly, and the counts of minimal
 reorientations (those containing no such minimum of the permitted kind)
-match t at (1,1), (1,2), (2,1), (1,0), (0,1) for every oriented matroid
-and every order.
+match t at the points of tutte.SETTINGS for every oriented matroid and
+every order.
 
 The active partition splits the ground set by threshold unions of positive
 supports; flipping whole parts generates the activity classes, which tile
@@ -22,17 +22,18 @@ bitsets of _cube, in module reversal the reversal forests.  Both work on
 Python big-int bitsets and whole lists at C speed rather than in per-word
 Python loops.
 
-_cube builds, per kind and order, one bitset per element.  A stored set
-X is positive exactly at the words B | X- and B | X+ over the subsets B
-of the complement of its support, one bitset by core._positive_words.
-Those of the sets whose order-minimum is e are ORed into hits[e], so bit
-A of hits[e] is set iff e is (dual-)active at A; for the identity order,
-validate's tiling pass has already built them when it ran on M.  The
-same pass keeps, per kind, the words with a positive set and those
-holding the minimum of one; minimal_counts is popcounts of them.
-tutte_via_activities counts active and dual-active elements per word
-with tutte's bit-sliced counter.  Only activity_report, which lists
-every word, turns the hits into one int per word, and keeps nothing.
+_cube builds, per kind and order, one bitset per element and memoizes
+only those.  A stored set X is positive exactly at the words B | X- and
+B | X+ over the subsets B of the complement of its support, one bitset
+by core._positive_words.  Those of the sets whose order-minimum is e are
+ORed into hits[e], so bit A of hits[e] is set iff e is (dual-)active at
+A; for the identity order, validate's tiling pass has already built them
+when it ran on M.  A setting's excluded words come from the hits, n ANDs
+and ORs each: _held for its mode's minimality, _outside for its
+restriction; minimal_counts is popcounts of them.  tutte_via_activities
+counts active and dual-active elements per word with tutte's bit-sliced
+counter.  Only activity_report, which lists every word, turns the hits
+into one int per word, and keeps nothing.
 
 greedy_ends gives the endpoint of the greedy walk from every word at
 once: the supports, in the walk's key order, claim the words where the
@@ -46,6 +47,9 @@ bitsets.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from .core import (
     LOWEST_WORDS,
     InvalidOrientedMatroid,
@@ -56,9 +60,20 @@ from .core import (
     _positive_words,
     _word_planes,
 )
-from .tutte import TuttePolynomial, _joint_counts
+from .tutte import SETTINGS, TuttePolynomial, _joint_counts
 
 MODES = ("circuit", "cocircuit", "both")
+RESTRICTIONS = ("all", "acyclic", "totally_cyclic")
+
+
+def _check_setting(mode, restriction="all"):
+    if mode not in MODES:
+        raise ValueError("mode must be one of %r, got %r" % (MODES, mode))
+    if restriction not in RESTRICTIONS:
+        raise ValueError("restriction must be one of %r, got %r" % (RESTRICTIONS, restriction))
+    needs = {"acyclic": "cocircuit", "totally_cyclic": "circuit"}.get(restriction, mode)
+    if mode not in (needs, "both"):
+        raise ValueError("restriction=%r requires mode %r or 'both'" % (restriction, needs))
 
 
 def _positions(n, order):
@@ -91,40 +106,48 @@ def _min_bit(supp_mask, positions):
 
 
 def _cube(M, order=None):
-    """((circuit hits, cocircuit hits), (held, positive) bitsets of each kind).
+    """(circuit hits, cocircuit hits): n bitsets per kind over the 2^n words.
 
     Bit A of hits[e] is set when e is the order-minimum of a positive set
-    of that kind at A.  Per kind, "positive" holds the words with some
-    positive set, and "held" those where A holds the order-minimum of one.
-    Equal orders share one memo entry whatever their sequence type.  The
-    identity order's hits are the ones validate's tiling pass left on M,
-    when it ran; they are taken off the memo once read.
+    of that kind at A.  Equal orders share one memo entry whatever their
+    sequence type.  The identity order's hits are the ones validate's
+    tiling pass left on M, when it ran; they are taken off the memo once
+    read.
     """
     positions = _positions(M.n, order)
     key = ("cube", positions if positions is None else tuple(positions))
-    hit = M._cache.get(key)
-    if hit is not None:
-        return hit
-    planes = _word_planes(M.n)
-    # validate's tiling pass leaves the identity order's bitsets on M
-    per_kind = M._cache.pop(LOWEST_WORDS, None) if positions is None else None
-    if per_kind is None:
-        per_kind = []
-        for data in (M.circuit_data, M.cocircuit_data):
-            hits = [0] * M.n
-            for supp, pos, neg in data:
-                e = _min_bit(supp, positions).bit_length() - 1
-                hits[e] |= _positive_words(planes, supp, pos, neg)
-            per_kind.append(hits)
-    bits = []
-    for hits in per_kind:
-        held = positive = 0
-        for (_, P), words in zip(planes, hits):
-            held |= words & P
-            positive |= words
-        bits += [held, positive]
-    hit = M._cache[key] = (tuple(per_kind), tuple(bits))
-    return hit
+    hits = M._cache.get(key)
+    if hits is None:
+        # validate's tiling pass leaves the identity order's bitsets on M
+        hits = M._cache.pop(LOWEST_WORDS, None) if positions is None else None
+        if hits is None:
+            planes = _word_planes(M.n)
+            hits = ([0] * M.n, [0] * M.n)
+            for data, per_element in zip((M.circuit_data, M.cocircuit_data), hits):
+                for supp, pos, neg in data:
+                    e = _min_bit(supp, positions).bit_length() - 1
+                    per_element[e] |= _positive_words(planes, supp, pos, neg)
+        M._cache[key] = hits
+    return hits
+
+
+def _held(M, mode, order=None):
+    """OR of hits[e] & P_e over the kinds the mode reverses: the words it excludes."""
+    hits = _cube(M, order)
+    planes = _word_planes(M.n)  # after _cube: one set of planes alive at a time
+    words = 0
+    for kind, per_element in zip(("circuit", "cocircuit"), hits):
+        if mode in (kind, "both"):
+            for (_, P), h in zip(planes, per_element):
+                words |= h & P
+    return words
+
+
+def _outside(M, restriction, order=None):
+    """OR of the forbidden kind's hits, alike under any order: the words it excludes."""
+    if restriction == "all":
+        return 0
+    return reduce(or_, _cube(M, order)[0 if restriction == "acyclic" else 1], 0)
 
 
 class ActivityData:
@@ -179,35 +202,28 @@ def is_minimal(M, A: int, mode: str = "both", order=None) -> bool:
     cocircuits only, 'both' at both lists.
     """
     _check_reorientation(M, A)
-    if mode not in MODES:
-        raise ValueError("mode must be one of %r, got %r" % (MODES, mode))
+    _check_setting(mode)
     positions = _positions(M.n, order)
-    kinds = []
-    if mode in ("circuit", "both"):
-        kinds.append(M.circuit_data)
-    if mode in ("cocircuit", "both"):
-        kinds.append(M.cocircuit_data)
-    for data in kinds:
-        for supp, _, _ in _positive(data, A):
-            if A & _min_bit(supp, positions):
-                return False
+    for kind, data in zip(("circuit", "cocircuit"), (M.circuit_data, M.cocircuit_data)):
+        if mode in (kind, "both"):
+            for supp, _, _ in _positive(data, A):
+                if A & _min_bit(supp, positions):
+                    return False
     return True
 
 
 def minimal_counts(M, order=None):
-    """Exhaustive counts over all 2^n reorientations, as the tuple
+    """Per setting of SETTINGS, the words outside _held of its mode and
+    _outside of its restriction: its minimal reorientations.
 
-        (circuit-cocircuit minimal, cocircuit minimal, circuit minimal,
-         acyclic cocircuit minimal, totally cyclic circuit minimal).
-
-    These equal the Tutte evaluations t(1,1), t(1,2), t(2,1), t(1,0),
-    t(0,1) for every oriented matroid and every ground order.  Each count
-    is 2^n less the popcount of the words it excludes, read from _cube's
-    held and positive bitsets.
+    These equal the Tutte evaluations at the settings' points for every
+    oriented matroid and every ground order.
     """
-    held_c, positive_c, held_d, positive_d = _cube(M, order)[1]
-    excluded = (held_c | held_d, held_d, held_c, held_d | positive_c, held_c | positive_d)
-    return tuple((1 << M.n) - words.bit_count() for words in excluded)
+    held = {mode: _held(M, mode, order) for mode in MODES}
+    return tuple(
+        (1 << M.n) - (held[mode] | _outside(M, restriction, order)).bit_count()
+        for _, mode, restriction, _ in SETTINGS
+    )
 
 
 def greedy_minimalize(M, A=None, order=None):
@@ -450,7 +466,7 @@ def tutte_via_activities(M, order=None) -> TuttePolynomial:
     input is not a valid oriented matroid and raises InvalidOrientedMatroid.
     """
     r, nul = M.rank, M.n - M.rank
-    act, dact = _cube(M, order)[0]
+    act, dact = _cube(M, order)
     counts, A = _joint_counts(dact, act, r, nul, M.n)
     if A is not None:
         raise InvalidOrientedMatroid(
@@ -477,7 +493,7 @@ def activity_report(M, order=None):
     if M.n > 12:
         raise ValueError("activity_report is limited to n <= 12, got n=%d" % M.n)
     records = []
-    tables = (_bit_table(hits, M.n) for hits in _cube(M, order)[0])
+    tables = (_bit_table(hits, M.n) for hits in _cube(M, order))
     for A, act, dact in zip(range(1 << M.n), *tables):
         circ_hit = A & act
         coc_hit = A & dact

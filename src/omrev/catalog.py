@@ -8,9 +8,8 @@ class for even k and two for odd k, U(r,n) with a 4-point-line minor is
 not regular), "oracle" for numbers computed by the exhaustive oracles in
 this package and frozen on their first run.
 
-The five-tuples follow the standard setting order: circuit-cocircuit,
-cocircuit, circuit, acyclic cocircuit, totally cyclic circuit, matching
-the Tutte evaluations t(1,1), t(1,2), t(2,1), t(1,0), t(0,1).
+The five-tuples follow the setting order of tutte.SETTINGS, the order of
+the Tutte evaluations at the settings' points.
 """
 
 from __future__ import annotations

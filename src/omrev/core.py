@@ -187,7 +187,9 @@ class OrientedMatroid:
     """
 
     def __init__(self, n, rank, circuits, cocircuits, name=""):
-        if not 0 <= n <= MAX_ELEMENTS:
+        if not (_is_int(n) and _is_int(rank) and 0 <= rank <= n):
+            raise ValueError("need integers 0 <= rank <= n, got n=%r and rank=%r" % (n, rank))
+        if n > MAX_ELEMENTS:
             raise ValueError(
                 "ground set too large: n=%d exceeds the hard cap %d" % (n, MAX_ELEMENTS)
             )

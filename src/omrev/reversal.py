@@ -24,22 +24,22 @@ class in the coarser one to the class there of its representative in the
 finer one, and the distinct links are united; its class count is the
 coarser one's less the merges.  A restricted setting is its mode's all
 partition cut down to the admitted words: acyclic (no positive circuit)
-or totally cyclic (no positive cocircuit), read from activity._cube's
-positive bitsets.  In a valid oriented matroid no reversal moves the
+or totally cyclic (no positive cocircuit), the complement of
+activity._outside.  In a valid oriented matroid no reversal moves the
 acyclic/cyclic split, so every class is wholly admitted or wholly
 outside; a mixed class means a permitted reversal leaves the admitted set
 and raises InvalidOrientedMatroid.
 
-The class counts in the five standard settings are bounded above by, and
-for regular instances equal to, the Tutte evaluations t(1,1), t(1,2),
-t(2,1), t(1,0), t(0,1).
+The class counts in the five settings of tutte.SETTINGS are bounded
+above by, and for regular instances equal to, the Tutte evaluations at
+their points.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 
-from .activity import MODES, _cube
+from .activity import MODES, RESTRICTIONS, _check_setting, _held, _outside  # noqa: F401
 from .core import (
     InvalidOrientedMatroid,
     _by_top,
@@ -48,29 +48,7 @@ from .core import (
     _table_planes,
     _word_planes,
 )
-
-RESTRICTIONS = ("all", "acyclic", "totally_cyclic")
-
-# (label, mode, restriction, Tutte evaluation point), in the fixed order
-# used by reversal_counts and the analysis reports
-SETTINGS = (
-    ("circuit_cocircuit", "both", "all", (1, 1)),
-    ("cocircuit", "cocircuit", "all", (1, 2)),
-    ("circuit", "circuit", "all", (2, 1)),
-    ("acyclic_cocircuit", "cocircuit", "acyclic", (1, 0)),
-    ("totally_cyclic_circuit", "circuit", "totally_cyclic", (0, 1)),
-)
-
-
-def _check_setting(mode, restriction):
-    if mode not in MODES:
-        raise ValueError("mode must be one of %r, got %r" % (MODES, mode))
-    if restriction not in RESTRICTIONS:
-        raise ValueError("restriction must be one of %r, got %r" % (RESTRICTIONS, restriction))
-    if restriction == "acyclic" and mode == "circuit":
-        raise ValueError("restriction='acyclic' requires mode 'cocircuit' or 'both'")
-    if restriction == "totally_cyclic" and mode == "cocircuit":
-        raise ValueError("restriction='totally_cyclic' requires mode 'circuit' or 'both'")
+from .tutte import SETTINGS
 
 
 class ReversalPartition:
@@ -304,10 +282,10 @@ def _clear_words(bits, size):
 def _restrict(M, rep_of, restriction):
     """(rep_of, class count) cut down to the admitted words."""
     size = len(rep_of)
-    positive = _cube(M)[1][1 if restriction == "acyclic" else 3]
-    admitted = _clear_words(positive, size)
+    outside = _outside(M, restriction)
+    admitted = _clear_words(outside, size)
     kept = set(compress(rep_of, admitted))
-    if not kept.isdisjoint(compress(rep_of, _clear_words(positive ^ (1 << size) - 1, size))):
+    if not kept.isdisjoint(compress(rep_of, _clear_words(outside ^ (1 << size) - 1, size))):
         rep = next(rep for A, rep in enumerate(rep_of) if admitted[A] != admitted[rep])
         raise InvalidOrientedMatroid(
             "reversal class of %d mixes %s and other words of %s: a reversal "
@@ -364,20 +342,18 @@ def same_class(M, A: int, B: int, mode: str = "both", restriction: str = "all") 
 def find_minimal_pair_in_class(M, mode: str = "cocircuit", restriction: str = "acyclic"):
     """Two distinct minimal reorientations sharing a reversal class, or None.
 
-    Minimality is read from activity._cube's held bitsets with the
-    matching mode: a member is minimal when it holds the minimum of no
-    positive set of the mode's kinds, as in module activity's is_minimal.
-    Only the admitted minimal words are visited, in ascending order, so
-    among all classes holding two or more minimal members the scan returns
-    the lexicographically first pair (A, B), A < B.
+    A word is minimal when it lies outside activity._held of the mode, as
+    in module activity's is_minimal, and admitted when it lies outside
+    activity._outside of the restriction.  Only the admitted minimal words
+    are visited, in ascending order, so among all classes holding two or
+    more minimal members the scan returns the lexicographically first pair
+    (A, B), A < B.
     For a regular instance every setting returns None; a non-regular
     loopless instance must yield a pair in the default setting
     (mode='cocircuit', restriction='acyclic').
     """
     rep_of = reversal_classes(M, mode, restriction).rep_of
-    held_c, positive_c, held_d, positive_d = _cube(M)[1]
-    outside = (0 if mode == "cocircuit" else held_c) | (0 if mode == "circuit" else held_d)
-    outside |= {"all": 0, "acyclic": positive_c, "totally_cyclic": positive_d}[restriction]
+    outside = _held(M, mode) | _outside(M, restriction)
     first_minimal = {}
     best = None
     for A in compress(range(len(rep_of)), _clear_words(outside, len(rep_of))):

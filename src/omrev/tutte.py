@@ -209,10 +209,15 @@ def tutte_polynomial(M) -> TuttePolynomial:
     return TuttePolynomial(r, coeffs)
 
 
-# the five evaluation points tied to reversal-class and minimality counts:
-# (1,1) circuit-cocircuit, (1,2) cocircuit, (2,1) circuit,
-# (1,0) acyclic cocircuit, (0,1) totally cyclic circuit
-EVAL_POINTS = ((1, 1), (1, 2), (2, 1), (1, 0), (0, 1))
+# (label, mode, restriction, Tutte point) of the five settings, in count-tuple order
+SETTINGS = (
+    ("circuit_cocircuit", "both", "all", (1, 1)),
+    ("cocircuit", "cocircuit", "all", (1, 2)),
+    ("circuit", "circuit", "all", (2, 1)),
+    ("acyclic_cocircuit", "cocircuit", "acyclic", (1, 0)),
+    ("totally_cyclic_circuit", "circuit", "totally_cyclic", (0, 1)),
+)
+EVAL_POINTS = tuple(point for _, _, _, point in SETTINGS)
 
 
 def evaluations(T: TuttePolynomial):

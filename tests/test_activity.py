@@ -63,7 +63,7 @@ def _shuffled_orders(n, count, seed):
 
 def _tables(M, order=None):
     """_cube's per-element hits of both kinds, as one array entry per word."""
-    return tuple(_bit_table(hits, M.n) for hits in activity._cube(M, order)[0])
+    return tuple(_bit_table(hits, M.n) for hits in activity._cube(M, order))
 
 
 def _outcome(function, M, order):
@@ -375,14 +375,15 @@ class TestTutteViaActivities:
     @given(_unvalidated_lists(9), st.sampled_from((0, 0, 0, -1, 1)))
     def test_unvalidated_lists_against_per_word_sum(self, case, shift):
         # any signed lists; the stored rank is mostly the greedy rank of
-        # the circuit supports and sometimes off by one
+        # the circuit supports and sometimes off by one, and the
+        # constructor rejects it outside 0..n
         lists = _unvalidated_om(case)
-        M = OrientedMatroid(
-            lists.n,
-            _greedy_rank([s for s, _, _ in lists.circuit_data], lists.ground_mask) + shift,
-            lists.circuits,
-            lists.cocircuits,
-        )
+        rank = _greedy_rank([s for s, _, _ in lists.circuit_data], lists.ground_mask) + shift
+        if not 0 <= rank <= lists.n:
+            with pytest.raises(ValueError, match="rank"):
+                OrientedMatroid(lists.n, rank, lists.circuits, lists.cocircuits)
+            return
+        M = OrientedMatroid(lists.n, rank, lists.circuits, lists.cocircuits)
         for order in (None, tuple(range(M.n))[::-1]):
             assert _outcome(tutte_via_activities, M, order) == _outcome(
                 tutte_via_activities_ref, M, order

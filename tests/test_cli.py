@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,17 @@ class TestAnalyze:
             "cocircuit": True,
             "both": True,
         }
+
+    def test_timing_includes_the_build(self, monkeypatch):
+        resolve = cli._resolve_instance
+
+        def slow(target):
+            time.sleep(0.05)
+            return resolve(target)
+
+        monkeypatch.setattr(cli, "_resolve_instance", slow)
+        timed = json.loads(_run(cmd_analyze, "tri", out="json", timing=True)[1])
+        assert timed["timing_seconds"] >= 0.05
 
     def test_timing_is_opt_in(self):
         plain = json.loads(_run(cmd_analyze, "tri", out="json")[1])

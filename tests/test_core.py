@@ -249,6 +249,13 @@ class TestSignedSetBuild:
             SignedSet(0, 1 << MAX_ELEMENTS)
         assert SignedSet(1 << (MAX_ELEMENTS - 1), 1).support_mask == 1 | 1 << (MAX_ELEMENTS - 1)
 
+    @pytest.mark.parametrize("n, rank", [(3, -1), (3, 4), (True, 0), (3.0, 1), (3, 1.0), (-1, 0)])
+    def test_constructor_rejects_impossible_sizes(self, n, rank):
+        # a rank outside 0..n, or a non-int n, used to be stored and fail
+        # later as an activity range error at word 0
+        with pytest.raises(ValueError, match=r"n=%r and rank=%r" % (n, rank)):
+            OrientedMatroid(n, rank, [], [])
+
     def test_dict_form(self):
         M = build_from_signed_sets(
             [{"pos": [0, 1], "neg": [2]}],

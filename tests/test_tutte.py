@@ -179,9 +179,14 @@ class TestAgainstPerWordSum:
     )
     def test_unvalidated_circuit_lists(self, case):
         # any supports, comparable or not; the stored rank is mostly the
-        # greedy rank of the ground set and sometimes off by one
+        # greedy rank of the ground set and sometimes off by one, and the
+        # constructor rejects it outside 0..n
         n, supports, shift = case
         rank = _greedy_rank(supports, (1 << n) - 1) + shift
         circuits = [SignedSet([e for e in range(n) if s >> e & 1]) for s in supports]
+        if not 0 <= rank <= n:
+            with pytest.raises(ValueError, match="rank"):
+                OrientedMatroid(n, rank, circuits, [])
+            return
         M = OrientedMatroid(n, rank, circuits, [])
         assert _outcome(tutte_polynomial, M) == _outcome(tutte_polynomial_ref, M)
