@@ -17,28 +17,12 @@ The active partition splits the ground set by threshold unions of positive
 supports; flipping whole parts generates the activity classes, which tile
 the cube with one minimal reorientation in each class.
 
-Whole-cube questions are views over builds memoized on M: here the word
-bitsets of _cube, in module reversal the reversal forests.  Both work on
-Python big-int bitsets and whole lists at C speed rather than in per-word
-Python loops.
-
-_cube builds, per kind and order, one bitset per element and memoizes
-only those.  A stored set X is positive exactly at the words B | X- and
-B | X+ over the subsets B of the complement of its support, one bitset
-by core._positive_words.  Those of the sets whose order-minimum is e are
-ORed into hits[e], so bit A of hits[e] is set iff e is (dual-)active at
-A; for the identity order, validate's tiling pass has already built them
-when it ran on M.  A setting's excluded words come from the hits, n ANDs
-and ORs each: _held for its mode's minimality, _outside for its
-restriction; minimal_counts is popcounts of them.  tutte_via_activities
-counts active and dual-active elements per word with tutte's bit-sliced
-counter.  Only activity_report, which lists every word, turns the hits
-into one int per word, and keeps nothing.
-
-greedy_ends gives the endpoint of the greedy walk from every word at
-once: the supports, in the walk's key order, claim the words where the
-walk flips them, _bit_table turns the claims into one step list, and
-pointer doubling composes it.
+Whole-cube questions are views over builds memoized on M: here the
+per-element activity bitsets of _cube, which _held, _outside and
+tutte_via_activities read, in module reversal the reversal forests.  Both
+work on Python big-int bitsets and whole lists at C speed rather than in
+per-word Python loops; so does greedy_ends, which walks every word at
+once.
 
 One-word queries are views over core._positive, which lists the stored
 sets of one kind that are positive at a word; they never build the
@@ -109,10 +93,13 @@ def _cube(M, order=None):
     """(circuit hits, cocircuit hits): n bitsets per kind over the 2^n words.
 
     Bit A of hits[e] is set when e is the order-minimum of a positive set
-    of that kind at A.  Equal orders share one memo entry whatever their
-    sequence type.  The identity order's hits are the ones validate's
-    tiling pass left on M, when it ran; they are taken off the memo once
-    read.
+    of that kind at A, that is, when e is (dual-)active at A.  A stored set
+    X is positive exactly at the words B | X- and B | X+ over the subsets B
+    of the complement of its support, one bitset by core._positive_words,
+    which is ORed into hits[e] of its order-minimum e.  Equal orders share
+    one memo entry whatever their sequence type.  The identity order's hits
+    are the ones validate's tiling pass left on M, when it ran; they are
+    taken off the memo once read.
     """
     positions = _positions(M.n, order)
     key = ("cube", positions if positions is None else tuple(positions))
@@ -131,16 +118,19 @@ def _cube(M, order=None):
     return hits
 
 
-def _held(M, mode, order=None):
-    """OR of hits[e] & P_e over the kinds the mode reverses: the words it excludes."""
+def _held(M, order=None):
+    """The words each mode's minimality excludes, keyed by mode.
+
+    A kind excludes the OR of hits[e] & P_e, the words holding an
+    order-minimum of a positive set of that kind; 'both' excludes the
+    union.  One planes build serves every mode.
+    """
     hits = _cube(M, order)
     planes = _word_planes(M.n)  # after _cube: one set of planes alive at a time
-    words = 0
-    for kind, per_element in zip(("circuit", "cocircuit"), hits):
-        if mode in (kind, "both"):
-            for (_, P), h in zip(planes, per_element):
-                words |= h & P
-    return words
+    circuit, cocircuit = (
+        reduce(or_, (h & P for (_, P), h in zip(planes, per_element)), 0) for per_element in hits
+    )
+    return {"circuit": circuit, "cocircuit": cocircuit, "both": circuit | cocircuit}
 
 
 def _outside(M, restriction, order=None):
@@ -219,7 +209,7 @@ def minimal_counts(M, order=None):
     These equal the Tutte evaluations at the settings' points for every
     oriented matroid and every ground order.
     """
-    held = {mode: _held(M, mode, order) for mode in MODES}
+    held = _held(M, order)
     return tuple(
         (1 << M.n) - (held[mode] | _outside(M, restriction, order)).bit_count()
         for _, mode, restriction, _ in SETTINGS
@@ -435,7 +425,7 @@ def activity_classes(M, order=None) -> ActivityClasses:
     inconsistency raises InvalidOrientedMatroid.
     """
     if M.n > 16:
-        raise ValueError("activity_classes enumerates 2^n classes; n=%d > 16" % M.n)
+        raise ValueError("activity_classes walks 2^n words; n=%d > 16" % M.n)
     size = 1 << M.n
     class_of = [-1] * size
     classes = []

@@ -29,7 +29,7 @@ from .activity import (
     minimal_counts,
 )
 from .core import InvalidOrientedMatroid, OrientedMatroid, build_uniform, load_instance_file
-from .regularity import classify, is_binary
+from .regularity import RegularityVerdict, classify, is_binary
 from .reversal import (
     find_minimal_pair_in_class,
     reversal_classes,
@@ -80,11 +80,14 @@ class AnalysisReport:
     evaluations: tuple
     reversal_counts: tuple
     minimal_counts: tuple
-    regular: bool
-    regularity_witness: tuple | None
+    regularity: RegularityVerdict
     witness_pair: tuple | None
     activities: tuple | None = None
     timing_seconds: float | None = None
+
+    @property
+    def regular(self) -> bool:
+        return self.regularity.regular
 
     def to_json_dict(self):
         out = {
@@ -96,17 +99,7 @@ class AnalysisReport:
             "evaluations": list(self.evaluations),
             "reversal_counts": list(self.reversal_counts),
             "minimal_counts": list(self.minimal_counts),
-            "regularity": {
-                "regular": self.regular,
-                "witness": (
-                    None
-                    if self.regularity_witness is None
-                    else {
-                        "circuit": list(self.regularity_witness[0]),
-                        "cocircuit": list(self.regularity_witness[1]),
-                    }
-                ),
-            },
+            "regularity": self.regularity.to_json_dict(),
             "witness_pair": list(self.witness_pair) if self.witness_pair else None,
             "equality": _equality_rows(self.evaluations, self.reversal_counts),
         }
@@ -115,31 +108,6 @@ class AnalysisReport:
         if self.timing_seconds is not None:
             out["timing_seconds"] = self.timing_seconds
         return out
-
-    @classmethod
-    def from_json_dict(cls, data):
-        reg = data["regularity"]
-        witness = None
-        if reg["witness"] is not None:
-            witness = (
-                tuple(reg["witness"]["circuit"]),
-                tuple(reg["witness"]["cocircuit"]),
-            )
-        return cls(
-            name=data["name"],
-            n=data["n"],
-            rank=data["rank"],
-            order=tuple(data["order"]) if data["order"] is not None else None,
-            tutte=TuttePolynomial.from_json_dict(data["tutte"]),
-            evaluations=tuple(data["evaluations"]),
-            reversal_counts=tuple(data["reversal_counts"]),
-            minimal_counts=tuple(data["minimal_counts"]),
-            regular=reg["regular"],
-            regularity_witness=witness,
-            witness_pair=tuple(data["witness_pair"]) if data["witness_pair"] else None,
-            activities=tuple(data["activities"]) if "activities" in data else None,
-            timing_seconds=data.get("timing_seconds"),
-        )
 
     def to_table(self) -> str:
         lines = []
@@ -171,11 +139,11 @@ class AnalysisReport:
             )
         lines.append("")
         lines.append("regular: %s" % ("yes" if self.regular else "no"))
-        if self.regularity_witness is not None:
-            c, d = self.regularity_witness
+        if self.regularity.witness is not None:
+            c, d = self.regularity.witness
             lines.append(
                 "odd intersection witness: circuit %s, cocircuit %s"
-                % (list(c), list(d))
+                % (sorted(c), sorted(d))
             )
         if self.witness_pair is not None:
             lines.append(
@@ -210,9 +178,6 @@ def analyze_instance(M: OrientedMatroid, order=None, verbose=False) -> AnalysisR
     counts = reversal_counts(M)
     _check_minimal_counts(M, mins, evals)
     verdict = is_binary(M)
-    witness = None
-    if verdict.witness is not None:
-        witness = (tuple(sorted(verdict.witness[0])), tuple(sorted(verdict.witness[1])))
     pair = None
     if not verdict.regular:
         pair = find_minimal_pair_in_class(M, "cocircuit", "acyclic")
@@ -225,8 +190,7 @@ def analyze_instance(M: OrientedMatroid, order=None, verbose=False) -> AnalysisR
         evaluations=evals,
         reversal_counts=counts,
         minimal_counts=mins,
-        regular=verdict.regular,
-        regularity_witness=witness,
+        regularity=verdict,
         witness_pair=pair,
         activities=acts,
     )
@@ -271,14 +235,17 @@ def _verify_entry(entry, stream):
     circuit-cocircuit class, at every n.
     """
 
+    checked = 0
+
     def check(label, ok, detail=""):
+        nonlocal checked
         if not ok:
             raise VerificationFailure(
                 "%s: %s%s" % (entry.name, label, (" (%s)" % detail) if detail else "")
             )
+        checked += 1
 
     M = entry.build()
-    checked = 0
 
     tag_regular = "regular" in entry.tags
     tag_nonregular = "non-regular" in entry.tags
@@ -289,7 +256,6 @@ def _verify_entry(entry, stream):
         fresh == ("regular" if tag_regular else "non-regular"),
         "scan says %s" % fresh,
     )
-    checked += 2
 
     T = tutte_polynomial(M)
     evals = evaluations(T)
@@ -300,28 +266,23 @@ def _verify_entry(entry, stream):
     by_label = {label: c for (label, _, _, _), c in zip(SETTINGS, counts)}
     mins = minimal_counts(M)
 
-    for key, computed in (
-        ("regular", fresh == "regular"),
-        ("tutte_evaluations", evals),
-        ("reversal_counts", counts),
+    for key, what, computed in (
+        ("regular", "regular table", fresh == "regular"),
+        ("tutte_evaluations", "tutte_evaluations table", evals),
+        ("reversal_counts", "reversal_counts table", counts),
+        (
+            "acyclic_cocircuit_classes",
+            "acyclic cocircuit class count",
+            by_label["acyclic_cocircuit"],
+        ),
     ):
         exp = entry.expected.get(key)
         if exp is not None:
             check(
-                "expected %s table matches" % key,
+                "expected %s matches" % what,
                 exp.value == computed,
                 "expected %r got %r" % (exp.value, computed),
             )
-            checked += 1
-    exp = entry.expected.get("acyclic_cocircuit_classes")
-    if exp is not None:
-        got = by_label["acyclic_cocircuit"]
-        check(
-            "expected acyclic cocircuit class count matches",
-            exp.value == got,
-            "expected %r got %r" % (exp.value, got),
-        )
-        checked += 1
 
     check(
         "minimal-reorientation counts equal the five Tutte evaluations",
@@ -333,7 +294,6 @@ def _verify_entry(entry, stream):
         all(c <= e for c, e in zip(counts, evals)),
         "evals %r, classes %r" % (evals, counts),
     )
-    checked += 2
 
     if tag_regular:
         check(
@@ -341,7 +301,6 @@ def _verify_entry(entry, stream):
             counts == evals,
             "evals %r, classes %r" % (evals, counts),
         )
-        checked += 1
     else:
         # with a loop (coloop) no word is acyclic (totally cyclic): no gap to show
         empty = {"all": False, "acyclic": M.has_loops, "totally_cyclic": M.has_coloops}
@@ -353,25 +312,22 @@ def _verify_entry(entry, stream):
                 c < e,
                 "tutte %d, classes %d" % (e, c),
             )
-            checked += 1
 
     # every word's walk ends at a minimal word of its own both/all class;
     # only on failure is the first failing word looked for, word by word
     ends = greedy_minimalize(M)
-    held = _held(M, "both")
+    held = _held(M)["both"]
     rep = partitions[0].rep_of
-    if any(held >> B & 1 for B in set(ends)) or list(map(rep.__getitem__, ends)) != rep:
+    walked = not any(held >> B & 1 for B in set(ends)) and list(map(rep.__getitem__, ends)) == rep
+    detail = ""
+    if not walked:
         A = next(
             A
             for A, B in enumerate(ends)
             if not is_minimal(M, B, "both") or not same_class(M, A, B, "both", "all")
         )
-        check(
-            "greedy walk reaches a minimal reorientation of the same class",
-            False,
-            "A=%d gave B=%d" % (A, ends[A]),
-        )
-    checked += 1
+        detail = "A=%d gave B=%d" % (A, ends[A])
+    check("greedy walk reaches a minimal reorientation of the same class", walked, detail)
 
     print("ok %-18s %2d assertions" % (entry.name, checked), file=stream)
 
@@ -463,43 +419,23 @@ def cmd_survey(family="catalog-nonregular", max_n=8, out="table", stream=None) -
     except VerificationFailure as exc:
         print("FAIL %s" % exc, file=stream)
         return 2
-    summary = "minimum ratio over non-regular instances: %s" % (
-        minimum if minimum is not None else "n/a"
-    )
     if out == "json":
-        _emit(
-            json.dumps(
-                {
-                    "family": family,
-                    "rows": rows,
-                    "min_ratio": str(minimum) if minimum is not None else None,
-                },
-                indent=2,
-            )
-            + "\n",
-            stream,
-        )
-    elif out == "csv":
-        _emit("name,n,bases,classes,ratio,min_ratio,note\n", stream)
-        for r in rows:
-            _emit(
-                "%s,%d,%d,%d,%s,%s,%s\n"
-                % (r["name"], r["n"], r["bases"], r["classes"], r["ratio"], r["min_ratio"], r["note"]),
-                stream,
-            )
+        ratio = None if minimum is None else str(minimum)
+        record = {"family": family, "rows": rows, "min_ratio": ratio}
+        _emit(json.dumps(record, indent=2) + "\n", stream)
+        return 0
+    # one line per row, its fields in the order _survey_rows writes them
+    if out == "csv":
+        header, line = "name,n,bases,classes,ratio,min_ratio,note\n", "%s,%d,%d,%d,%s,%s,%s\n"
     else:
-        _emit(
-            "%-10s %3s %7s %8s %8s %10s  %s\n"
-            % ("name", "n", "bases", "classes", "ratio", "min", "note"),
-            stream,
+        header = "%-10s %3s %7s %8s %8s %10s  %s\n" % (
+            "name", "n", "bases", "classes", "ratio", "min", "note"
         )
-        for r in rows:
-            _emit(
-                "%-10s %3d %7d %8d %8s %10s  %s\n"
-                % (r["name"], r["n"], r["bases"], r["classes"], r["ratio"], r["min_ratio"], r["note"]),
-                stream,
-            )
-        _emit(summary + "\n", stream)
+        line = "%-10s %3d %7d %8d %8s %10s  %s\n"
+    _emit(header + "".join(line % tuple(r.values()) for r in rows), stream)
+    if out != "csv":
+        summary = "n/a" if minimum is None else minimum
+        _emit("minimum ratio over non-regular instances: %s\n" % summary, stream)
     return 0
 
 
@@ -509,30 +445,28 @@ def cmd_survey(family="catalog-nonregular", max_n=8, out="table", stream=None) -
 
 def cmd_catalog_list(out="table", stream=None) -> int:
     stream = stream or sys.stdout
-    entries = _catalog.catalog_instances()
+    rows = []
+    for e in _catalog.catalog_instances():
+        M = e.build()
+        rows.append(
+            {
+                "name": e.name,
+                "n": M.n,
+                "rank": M.rank,
+                "tags": sorted(e.tags),
+                "description": e.description,
+            }
+        )
     if out == "json":
-        data = []
-        for e in entries:
-            M = e.build()
-            data.append(
-                {
-                    "name": e.name,
-                    "n": M.n,
-                    "rank": M.rank,
-                    "tags": sorted(e.tags),
-                    "description": e.description,
-                }
-            )
-        _emit(json.dumps(data, indent=2) + "\n", stream)
-    else:
-        _emit("%-20s %2s %4s  %-42s %s\n" % ("name", "n", "rank", "tags", "description"), stream)
-        for e in entries:
-            M = e.build()
-            _emit(
-                "%-20s %2d %4d  %-42s %s\n"
-                % (e.name, M.n, M.rank, ",".join(sorted(e.tags)), e.description),
-                stream,
-            )
+        _emit(json.dumps(rows, indent=2) + "\n", stream)
+        return 0
+    _emit("%-20s %2s %4s  %-42s %s\n" % ("name", "n", "rank", "tags", "description"), stream)
+    for r in rows:
+        _emit(
+            "%-20s %2d %4d  %-42s %s\n"
+            % (r["name"], r["n"], r["rank"], ",".join(r["tags"]), r["description"]),
+            stream,
+        )
     return 0
 
 
@@ -588,7 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="catalog name or JSON instance file")
     p.add_argument("--order", type=_parse_order, default=None, help="ground order, e.g. 2,0,1")
     p.add_argument("--out", choices=("json", "table"), default="table")
-    p.add_argument("--verbose", action="store_true", help="include per-reorientation activities (n <= 12)")
+    p.add_argument("--verbose", action="store_true",
+                   help="add per-reorientation activities to the JSON report; the table "
+                   "omits them (n <= 12)")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock seconds of build and analysis (breaks byte-identity)")
     p.set_defaults(

@@ -6,18 +6,8 @@ positive there.  Each setting's partition is a list mapping every word to
 its class minimum, built on its first request and memoized on M.
 
 _forest builds a base partition, circuit/all or cocircuit/all, from its
-one stored kind; no activity bitset or order is involved.  It grows one
-element at a time: a set whose largest element is k never reads or flips
-bit k+1 or above, so the partition over bits 0..k-1 is doubled onto the
-words with bit k set, and only then do the sets with top element k join
-classes, by the distinct class edges of their generator pairs.  No set
-reads all of its pairs.  A set is positive at A iff it is positive at the
-complement of A, so complementing bits 0..k-1 maps classes to classes
-and each pair to a pair: half the pairs give every edge.  A set whose
-half has more words than its stage has classes, while those are at most
-_PEEL_CLASSES, peels classes off the half as bitsets, one big-int step
-per distinct class and edge; the others read their half word by word.
-The class counts come from the merges.
+one stored kind, one element at a time; no activity bitset or order is
+involved.
 
 both/all is the join of the two base partitions: every word links its
 class in the coarser one to the class there of its representative in the
@@ -353,7 +343,7 @@ def find_minimal_pair_in_class(M, mode: str = "cocircuit", restriction: str = "a
     (mode='cocircuit', restriction='acyclic').
     """
     rep_of = reversal_classes(M, mode, restriction).rep_of
-    outside = _held(M, mode) | _outside(M, restriction)
+    outside = _held(M)[mode] | _outside(M, restriction)
     first_minimal = {}
     best = None
     for A in compress(range(len(rep_of)), _clear_words(outside, len(rep_of))):

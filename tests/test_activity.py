@@ -155,6 +155,19 @@ class TestMinimalCounts:
         minimal_counts(M, tuple(range(M.n))[::-1])
         assert not [key for key in M._cache if key[0] == "reversal"]
 
+    def test_one_planes_build_per_call(self, monkeypatch):
+        # on a warm memo the three modes' excluded words share one planes build
+        M = get_instance("u35")
+        reversed_order = tuple(range(M.n))[::-1]
+        minimal_counts(M)
+        minimal_counts(M, reversed_order)
+        calls = []
+        build = activity._word_planes
+        monkeypatch.setattr(activity, "_word_planes", lambda n: calls.append(n) or build(n))
+        for k, order in enumerate((None, reversed_order, None), 1):
+            minimal_counts(M, order)
+            assert calls == [M.n] * k
+
     def test_tables_read_the_bitsets_validate_left(self, monkeypatch):
         # validate's tiling pass leaves the identity order's per-element
         # bitsets on M; the tables read them instead of recomputing the

@@ -2,10 +2,12 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +25,6 @@ from omrev import (
 from omrev import cli
 from omrev.catalog import CatalogEntry, Expected
 from omrev.cli import (
-    AnalysisReport,
     analyze_instance,
     cmd_analyze,
     cmd_catalog_list,
@@ -60,12 +61,6 @@ class TestAnalyze:
         two = _run(cmd_analyze, "u24", out="json")[1]
         assert one == two
 
-    def test_json_report_round_trip(self):
-        code, text = _run(cmd_analyze, "tri", out="json")
-        assert code == 0
-        parsed = AnalysisReport.from_json_dict(json.loads(text))
-        assert parsed == analyze_instance(get_instance("tri"))
-
     def test_json_equality_rows(self):
         data = json.loads(_run(cmd_analyze, "u24", out="json")[1])
         assert data["evaluations"] == [6, 11, 11, 3, 3]
@@ -100,6 +95,23 @@ class TestAnalyze:
         monkeypatch.setattr(cli, "_resolve_instance", slow)
         timed = json.loads(_run(cmd_analyze, "tri", out="json", timing=True)[1])
         assert timed["timing_seconds"] >= 0.05
+
+    def test_timing_table_line(self):
+        code, text = _run(cmd_analyze, "tri", timing=True)
+        assert code == 0
+        assert re.fullmatch(r"timing_seconds: \d+\.\d{3}", text.splitlines()[-1])
+
+    def test_large_ground_set_warns(self, monkeypatch, capsys):
+        # the warning comes before the analysis, which is stubbed out here
+        big = OrientedMatroid(17, 0, [], [], name="big")
+        monkeypatch.setattr(cli, "_resolve_instance", lambda target: big)
+        tri = analyze_instance(get_instance("tri"))
+        monkeypatch.setattr(cli, "analyze_instance", lambda M, **kwargs: tri)
+        code, text = _run(cmd_analyze, "big")
+        assert code == 0 and "instance: tri" in text
+        assert capsys.readouterr().err == (
+            "warning: n=17 reorientations number 2^17; expect a long run\n"
+        )
 
     def test_timing_is_opt_in(self):
         plain = json.loads(_run(cmd_analyze, "tri", out="json")[1])
@@ -389,6 +401,20 @@ class TestSurvey:
         assert data["min_ratio"] == "3"
         assert all(r["note"] == "" for r in data["rows"])
 
+    @pytest.mark.parametrize(
+        "family, max_n, classes, message",
+        [
+            ("u2k", 3, 1, "U(2,3): regular instance must have ratio exactly 1, got 3"),
+            ("catalog-nonregular", 8, 10**6, "non-regular instance must have ratio > 1"),
+        ],
+    )
+    def test_impossible_ratio_fails(self, monkeypatch, family, max_n, classes, message):
+        partition = SimpleNamespace(class_count=classes)
+        monkeypatch.setattr(cli, "reversal_classes", lambda M, mode, restriction: partition)
+        code, text = _run(cmd_survey, family=family, max_n=max_n)
+        assert code == 2
+        assert text.startswith("FAIL ") and message in text
+
     def test_bad_max_n_exits_1(self, capsys):
         assert main(["survey", "--family", "u2k", "--max-n", "2"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -454,6 +480,12 @@ class TestMainContract:
     def test_analyze_via_main(self, capsys):
         assert main(["analyze", "tri"]) == 0
         assert "instance: tri" in capsys.readouterr().out
+
+    def test_non_integer_order_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", "tri", "--order", "a,b"])
+        assert err.value.code == 1
+        assert "order must be comma-separated integers" in capsys.readouterr().err
 
     def test_bad_order_string(self, capsys):
         assert main(["analyze", "tri", "--order", "0,0,1"]) == 1

@@ -131,6 +131,17 @@ class TestMatrixBuild:
         with pytest.raises(ValueError):
             build_from_matrix([[1] * 21])
 
+    @pytest.mark.parametrize(
+        "rows, n, message",
+        [
+            ([[1, 0], [1]], None, "unequal lengths"),
+            ([[1, 0]], 3, "n=3 does not match row length 2"),
+        ],
+    )
+    def test_row_lengths_must_agree(self, rows, n, message):
+        with pytest.raises(ValueError, match=message):
+            build_from_matrix(rows, n=n)
+
 
 class TestGraphBuild:
     def test_triangle_matches_matrix(self):
@@ -157,6 +168,10 @@ class TestGraphBuild:
     def test_bad_edge(self):
         with pytest.raises(ValueError):
             build_from_graph([(0, 1)], vertices=1)
+
+    def test_too_many_edges(self):
+        with pytest.raises(ValueError, match="too many edges: 21 exceeds the hard cap 20"):
+            build_from_graph([(0, 1)] * 21)
 
     def test_large_vertex_ids_add_no_rows(self, monkeypatch):
         # only endpoints of non-loop edges get incidence rows, so a vertex
@@ -255,6 +270,14 @@ class TestSignedSetBuild:
         # later as an activity range error at word 0
         with pytest.raises(ValueError, match=r"n=%r and rank=%r" % (n, rank)):
             OrientedMatroid(n, rank, [], [])
+
+    def test_constructor_rejects_a_ground_set_past_the_cap(self):
+        with pytest.raises(ValueError, match="n=21 exceeds the hard cap 20"):
+            OrientedMatroid(21, 0, [], [])
+
+    def test_constructor_rejects_elements_outside_the_ground_set(self):
+        with pytest.raises(ValueError, match=r"outside 0\.\.n-1"):
+            OrientedMatroid(2, 1, [ss((0, 2))], [])
 
     def test_dict_form(self):
         M = build_from_signed_sets(
@@ -553,6 +576,10 @@ class TestInstanceLoading:
             instance_from_dict(
                 {"source": {"matrix": TRIANGLE, "uniform": [2, 4]}}
             )
+
+    def test_non_mapping_rejected(self):
+        with pytest.raises(ValueError, match="must be a mapping"):
+            instance_from_dict([{"source": {"matrix": TRIANGLE}}])
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError):
