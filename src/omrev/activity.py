@@ -21,8 +21,9 @@ Whole-cube questions are views over builds memoized on M: here the
 per-element activity bitsets of _cube, which _held, _outside and
 tutte_via_activities read, in module reversal the reversal forests.  Both
 work on Python big-int bitsets and whole lists at C speed rather than in
-per-word Python loops; so does greedy_ends, which walks every word at
-once.
+per-word Python loops; so do greedy_ends, which walks every word at once,
+and activity_classes, which finds every word's part leaders in one sweep
+over the stored sets.
 
 One-word queries are views over core._positive, which lists the stored
 sets of one kind that are positive at a word; they never build the
@@ -31,12 +32,15 @@ bitsets.
 
 from __future__ import annotations
 
+from array import array
 from functools import reduce
-from operator import or_
+from itertools import groupby
+from operator import itemgetter, ne, or_, xor
 
 from .core import (
     LOWEST_WORDS,
     InvalidOrientedMatroid,
+    _TABLE_BITS,
     _bit_table,
     _check_reorientation,
     _elements_of,
@@ -399,7 +403,7 @@ class ActivityClasses:
 
     def __init__(self, n, classes, class_of):
         self.n = n
-        self.classes = tuple(tuple(c) for c in classes)
+        self.classes = tuple(map(tuple, classes))
         self._class_of = class_of
 
     @property
@@ -420,31 +424,108 @@ def activity_classes(M, order=None) -> ActivityClasses:
 
     Every class size is a power of two (2^(number of parts)) and each class
     contains exactly one circuit-cocircuit minimal reorientation; the class
-    count equals the basis count t(1,1).  Two members generating different
-    classes would mean the input is not a valid oriented matroid; that
-    inconsistency raises InvalidOrientedMatroid.
+    count equals the basis count t(1,1).
+
+    Every word is classified at once.  For each kind, the stored sets are
+    grouped by order-minimum and the groups visited from the largest
+    minimum down; covered[f] holds the words where f already lies in a
+    positive set of a larger minimum, so the words a group adds to it are
+    those where f's part leader L_A(f), the largest minimum of a positive
+    set holding f, is that group's minimum.  Two tables come out: U[A],
+    the elements whose leader lies in A, so key[A] = A ^ U[A] flips away
+    every part whose leader A holds and is the class's circuit-cocircuit
+    minimal word; and sig[A], each L_A(f) bit-sliced into ceil(log2 n)
+    bits, which must fit in one 64-bit table entry.  The words are grouped
+    by key and the classes listed by ascending representative (minimum
+    member).
+
+    Three checks cover every word; a failure raises InvalidOrientedMatroid
+    (none can occur for a valid oriented matroid):
+
+    1. the positive circuits and the positive cocircuits tile the ground
+       set, reported at the lowest word where they overlap or miss an
+       element, in active_partition's words;
+    2. sig[A] == sig[key[A]]: every word has its key's active partition,
+       reported at the lowest word that does not;
+    3. the words of key K number 2^p, p the parts at K, counted by the
+       leaders of _cube's hits, reported at the least word of the first
+       class that does not.
+
+    By 1 the parts at K are disjoint, nonempty (each holds its leader) and
+    number p, since each order-minimum of a positive set at K leads the part
+    that holds it; so flipping their unions from K gives exactly 2^p words,
+    span(K).  By 2 each word A of key K has K's parts, and A = K ^ U[A] with
+    U[A] a union of them, so the group of K lies in span(K); by 3 it is all
+    of span(K).  Hence each group is the set generated from any of its
+    members by flipping that member's parts: a per-class loop that flips the
+    parts at each representative returns these classes, and raises only on
+    inputs that fail a check here.
     """
-    if M.n > 16:
-        raise ValueError("activity_classes walks 2^n words; n=%d > 16" % M.n)
-    size = 1 << M.n
-    class_of = [-1] * size
-    classes = []
-    for A in range(size):
-        if class_of[A] >= 0:
-            continue
-        parts = active_partition(M, A, order).part_masks
-        members = [A]
-        for pm in parts:
-            members += [m ^ pm for m in members]
-        members.sort()
-        if members[0] != A or any(class_of[m] >= 0 for m in members):
-            raise InvalidOrientedMatroid(
-                "activity classes disagree around reorientation %d of %s" % (A, M.name)
-            )
-        for m in members:
-            class_of[m] = A
-        classes.append(tuple(members))
-    return ActivityClasses(M.n, classes, class_of)
+    n = M.n
+    bits = max(n - 1, 0).bit_length()
+    if n * bits > _TABLE_BITS:
+        raise ValueError(
+            "activity_classes packs the n part leaders of a word into n * ceil(log2 n) "
+            "bits; n=%d needs %d > %d" % (n, n * bits, _TABLE_BITS)
+        )
+    positions = _positions(n, order)
+    planes = _word_planes(n)
+    full = (1 << (1 << n)) - 1
+    flipped = [0] * n  # bit A set iff L_A(f) lies in A
+    code = [0] * (n * bits)  # bit A of code[f * bits + j] is bit j of L_A(f)
+    cover = []
+    for data in (M.circuit_data, M.cocircuit_data):
+        groups = {}
+        for t in data:
+            groups.setdefault(_min_bit(t[0], positions).bit_length() - 1, []).append(t)
+        covered = [0] * n
+        for a in sorted(groups, key=_element_key(positions), reverse=True):
+            reach = [0] * n
+            for t in groups[a]:
+                words = _positive_words(planes, *t)
+                for f in _elements_of(t[0]):
+                    reach[f] |= words
+            for f, words in enumerate(reach):
+                led = words & ~covered[f]
+                if led:
+                    covered[f] |= led
+                    flipped[f] |= led & planes[a][1]
+                    for j in _elements_of(a):  # the set bits of the leader's index
+                        code[f * bits + j] |= led
+        cover.append(covered)
+
+    overlap = missed = 0
+    for cyclic, acyclic in zip(*cover):
+        overlap |= cyclic & acyclic
+        missed |= full & ~(cyclic | acyclic)
+    bad = overlap | missed
+    if bad:
+        A = (bad & -bad).bit_length() - 1
+        raise InvalidOrientedMatroid(
+            "active partition %s at reorientation %d of %s"
+            % ("parts overlap" if overlap >> A & 1 else "misses elements", A, M.name)
+        )
+
+    size = 1 << n
+    key = array("Q", map(xor, range(size), _bit_table(flipped, n)))
+    sig = _bit_table(code, n)
+    at_key = array("Q", map(sig.__getitem__, key))
+    by_key = sorted(range(size), key=key.__getitem__)
+    classes = sorted(map(tuple, map(itemgetter(1), groupby(by_key, key.__getitem__))))
+    leaders = _bit_table(list(map(or_, *_cube(M, order))), n)
+    parts = map(leaders.__getitem__, map(key.__getitem__, map(itemgetter(0), classes)))
+    sizes = list(map(len, classes))
+    spans = list(map((1).__lshift__, map(int.bit_count, parts)))
+    if at_key != sig:
+        A = list(map(ne, at_key, sig)).index(True)
+    elif sizes != spans:
+        A = classes[list(map(ne, sizes, spans)).index(True)][0]
+    else:
+        rep = dict(zip(key[::-1], range(size - 1, -1, -1)))  # the least word of each key
+        return ActivityClasses(n, classes, list(map(rep.__getitem__, key)))
+    raise InvalidOrientedMatroid(
+        "activity classes disagree around reorientation %d of %s" % (A, M.name)
+    )
 
 
 def tutte_via_activities(M, order=None) -> TuttePolynomial:

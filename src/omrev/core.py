@@ -696,11 +696,13 @@ def _positive_words(planes, supp, pos, neg):
     return S | (S << d if d >= 0 else S >> -d)
 
 
-# A table holds one array("L") entry per word; bit e of an entry sits in
-# byte _lane_byte(e) of its item, lane e // 8.  Per lane bit j, _LANE_BITS
-# translates the binary digits "0"/"1" into the bytes 0 and 1 << j, and
-# _LANE_DIGITS translates a byte into the digit "1" or "0" of its bit j.
-_TABLE_ITEM = array("L").itemsize
+# A table holds one array("Q") entry per word, 64 bits on every platform;
+# bit e of an entry sits in byte _lane_byte(e) of its item, lane e // 8.
+# Per lane bit j, _LANE_BITS translates the binary digits "0"/"1" into the
+# bytes 0 and 1 << j, and _LANE_DIGITS translates a byte into the digit
+# "1" or "0" of its bit j.
+_TABLE_ITEM = array("Q").itemsize
+_TABLE_BITS = 8 * _TABLE_ITEM
 _LANE_BITS = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 _LANE_DIGITS = [bytes(0x31 if x >> j & 1 else 0x30 for x in range(256)) for j in range(8)]
 
@@ -711,24 +713,25 @@ def _lane_byte(e):
 
 
 def _bit_table(hits, n):
-    """array("L") whose entry A has bit e set iff bit A of hits[e] is set.
+    """array("Q") whose entry A has bit e set iff bit A of hits[e] is set.
 
-    Each bitset is written out as binary digits, one byte per word with word
-    2^n - 1 first, and translated to 0 or its element's bit within a lane of
-    eight elements; the elements of a lane are ORed as big-endian ints, and
-    the lanes are interleaved into the entries' bytes.
+    hits holds at most _TABLE_BITS bitsets over the 2^n words.  Each bitset
+    is written out as binary digits, one byte per word with word 2^n - 1
+    first, and translated to 0 or its bit within a lane of eight bitsets;
+    the bitsets of a lane are ORed as big-endian ints, and the lanes are
+    interleaved into the entries' bytes.
     """
     size = 1 << n
     item = _TABLE_ITEM
     buf = bytearray(size * item)
-    for lane in range(0, n, 8):
+    for lane in range(0, len(hits), 8):
         acc = 0
-        for e in range(lane, min(n, lane + 8)):
+        for e in range(lane, min(len(hits), lane + 8)):
             if hits[e]:
                 digits = format(hits[e], "0%db" % size).encode()
                 acc |= int.from_bytes(digits.translate(_LANE_BITS[e - lane]), "big")
         buf[_lane_byte(lane)::item] = acc.to_bytes(size, "little")
-    table = array("L")
+    table = array("Q")
     table.frombytes(buf)
     return table
 
@@ -736,7 +739,7 @@ def _bit_table(hits, n):
 def _table_planes(table, n):
     """The reverse of _bit_table: per e < n, the bitset of the entries with
     bit e set, from their bytes of e's lane translated to binary digits."""
-    buf = array("L", table).tobytes()
+    buf = array("Q", table).tobytes()
     return [
         int(buf[_lane_byte(e)::_TABLE_ITEM].translate(_LANE_DIGITS[e % 8])[::-1], 2)
         for e in range(n)

@@ -15,6 +15,9 @@ the bit-sliced activity sum, on any signed lists.
 subset_greedy_ref runs the circuit-greedy rank word by word, and
 tutte_polynomial_ref sums the corank-nullity expansion over it; they pin
 the bit-sliced sum in tutte_polynomial, on any circuit list.
+activity_classes_ref flips the active-partition parts at each class
+representative, one class at a time; it pins the leader sweep in
+activity_classes, on any signed lists and order.
 tiling_ref scans the acyclic/cyclic split word by word, and
 orthogonality_ref compares every circuit with every cocircuit; they pin
 the bitset checks in validate, on any lists.
@@ -24,8 +27,8 @@ from array import array
 from fractions import Fraction
 from math import comb
 
-from omrev import InvalidOrientedMatroid, TuttePolynomial
-from omrev.activity import _min_bit, _positions
+from omrev import InvalidOrientedMatroid, TuttePolynomial, active_partition
+from omrev.activity import ActivityClasses, _min_bit, _positions
 from omrev.core import _by_top
 
 
@@ -323,6 +326,35 @@ def tutte_via_activities_ref(M, order=None):
                 )
             coeffs[i][j] = c >> (i + j)
     return TuttePolynomial(r, coeffs)
+
+
+def activity_classes_ref(M, order=None):
+    """Activity classes by flipping the parts at each representative in turn.
+
+    Raises InvalidOrientedMatroid where active_partition does, or when a
+    representative's flips reach a smaller word or a word already classed.
+    """
+    if M.n > 16:
+        raise ValueError("activity_classes walks 2^n words; n=%d > 16" % M.n)
+    size = 1 << M.n
+    class_of = [-1] * size
+    classes = []
+    for A in range(size):
+        if class_of[A] >= 0:
+            continue
+        parts = active_partition(M, A, order).part_masks
+        members = [A]
+        for pm in parts:
+            members += [m ^ pm for m in members]
+        members.sort()
+        if members[0] != A or any(class_of[m] >= 0 for m in members):
+            raise InvalidOrientedMatroid(
+                "activity classes disagree around reorientation %d of %s" % (A, M.name)
+            )
+        for m in members:
+            class_of[m] = A
+        classes.append(tuple(members))
+    return ActivityClasses(M.n, classes, class_of)
 
 
 def _union_find(parent):

@@ -1,7 +1,9 @@
+import importlib.util
 import random
 import re
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from omrev import (
     get_instance,
     greedy_ends,
     greedy_minimalize,
+    instance_from_dict,
     is_minimal,
     minimal_counts,
     part_decomposition,
@@ -35,10 +38,12 @@ from omrev import activity, reversal
 from omrev.cli import analyze_instance
 from omrev.core import LOWEST_WORDS, _bit_table, _greedy_rank
 from oracles import (
+    activity_classes_ref,
     cube_minima_ref,
     greedy_minimalize_ref,
     is_minimal_ref,
     minimal_counts_ref,
+    tiling_ref,
     tutte_via_activities_ref,
 )
 from test_core import _unvalidated_lists, _unvalidated_om
@@ -72,6 +77,21 @@ def _outcome(function, M, order):
         return function(M, order)
     except ValueError as exc:
         return type(exc), str(exc)
+
+
+def _bench_instance(base, seed):
+    """A signed instance of the benchmark's generator, relabelled and
+    reoriented by the seed (None: untransformed)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("bench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return instance_from_dict(module.instance_source(base, "signed", seed))
+
+
+def _classes(AC):
+    """Everything an ActivityClasses shows: n, the classes and every class_of."""
+    return AC.n, AC.classes, [AC.class_of(A) for A in range(1 << AC.n)]
 
 
 def _catalog_and_duals(max_n=10):
@@ -348,8 +368,8 @@ class TestActivityClasses:
                 assert sum(1 for m in members if is_minimal(M, m, "both")) == 1
 
     def test_members_share_the_partition(self):
-        for name in ("tri", "u24"):
-            M = get_instance(name)
+        # checked with active_partition at every member, not with the sweep
+        for M in _catalog_and_duals(max_n=8):
             AC = activity_classes(M)
             for members in AC.classes:
                 shapes = {
@@ -359,11 +379,76 @@ class TestActivityClasses:
                     )
                     for m in members
                 }
-                assert len(shapes) == 1
+                assert len(shapes) == 1, (M.name, members)
+
+    def test_matches_the_per_class_loop_on_the_catalog(self):
+        for M in _catalog_and_duals(max_n=16):
+            reverse = tuple(range(M.n))[::-1]
+            for order in (None, reverse) + tuple(_shuffled_orders(M.n, 1, seed=M.n)):
+                assert _classes(activity_classes(M, order)) == _classes(
+                    activity_classes_ref(M, order)
+                ), (M.name, order)
+
+    @pytest.mark.parametrize("base", ["U(3,12)", "U(6,12)", "K5", "W6"])
+    def test_matches_the_per_class_loop_on_relabelled_instances(self, base):
+        M = _bench_instance(base, 5)
+        (order,) = _shuffled_orders(M.n, 1, seed=11)
+        assert _classes(activity_classes(M, order)) == _classes(activity_classes_ref(M, order))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_unvalidated_lists(9))
+    def test_unvalidated_lists_against_the_per_class_loop(self, case):
+        # the sweep checks every word, the loop only each representative:
+        # it may raise where the loop returns, never the other way round
+        M = _unvalidated_om(case)
+        untiled = tiling_ref(M)
+        for order in (None, tuple(range(M.n))[::-1]):
+            try:
+                expected = _classes(activity_classes_ref(M, order))
+            except InvalidOrientedMatroid:
+                expected = None
+            try:
+                got = _classes(activity_classes(M, order))
+            except InvalidOrientedMatroid as exc:
+                assert untiled is None or "at reorientation %d of" % untiled in str(exc)
+                continue
+            assert untiled is None and got == expected
+
+    def test_a_member_with_other_parts_is_named(self):
+        # at word 0 the positive cocircuits 0+1+, 1+2+ and 2+ give the parts
+        # {0}, {1}, {2}, which the per-class loop flips into one class of all
+        # eight words; at word 3 only 0+1+ and 2+ are positive, so its parts
+        # are {0, 1} and {2}, though its key is 0
+        cocircuits = [SignedSet((0, 1)), SignedSet((0,), (1,)), SignedSet((1, 2)), SignedSet((2,))]
+        M = OrientedMatroid(3, 0, [], cocircuits, "hand")
+        assert activity_classes_ref(M).classes == (tuple(range(8)),)
+        with pytest.raises(
+            InvalidOrientedMatroid, match="disagree around reorientation 3 of hand"
+        ):
+            activity_classes(M)
+
+    def test_class_sizes_follow_the_cube_leaders(self, monkeypatch):
+        # the group sizes are checked against _cube's leaders, counted apart
+        # from the sweep: one leader dropped at word 0 halves its class
+        M = get_instance("tri")
+        circuit_hits, cocircuit_hits = activity._cube(M)
+        dropped = [cocircuit_hits[0] & ~1] + cocircuit_hits[1:]
+        monkeypatch.setattr(activity, "_cube", lambda M, order=None: (circuit_hits, dropped))
+        with pytest.raises(
+            InvalidOrientedMatroid, match="disagree around reorientation 0 of tri"
+        ):
+            activity_classes(M)
+
+    def test_sixteen_elements(self):
+        # n * ceil(log2 n) = 64 part-leader bits: the largest size accepted
+        M = _bench_instance("U(3,16)", None)
+        AC = activity_classes(M)
+        assert AC.class_count == tutte_polynomial(M).evaluate(1, 1) == 560
+        assert sum(AC.sizes()) == 1 << 16
 
     def test_size_guard(self):
         big = OrientedMatroid(17, 1, [], [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"ceil\(log2 n\) bits; n=17 needs 85 > 64"):
             activity_classes(big)
 
     @pytest.mark.parametrize("A", [-1, -8, 8, 1 << 9])
