@@ -11,11 +11,9 @@ otherwise.
 
 from .activity import (
     ActivityData,
-    ActivePartition,
     activities,
     activity_classes,
     activity_report,
-    active_partition,
     greedy_ends,
     greedy_minimalize,
     is_minimal,

@@ -13,9 +13,12 @@ reorientations (those containing no such minimum of the permitted kind)
 match t at the points of tutte.SETTINGS for every oriented matroid and
 every order.
 
-The active partition splits the ground set by threshold unions of positive
-supports; flipping whole parts generates the activity classes, which tile
-the cube with one minimal reorientation in each class.
+At a word A, the part leader L_A(f) of an element f is the largest
+order-minimum of a positive set holding f, a circuit if f is cyclic and a
+cocircuit if it is acyclic; the elements sharing a leader form one part of
+the active partition of A.  Flipping unions of parts generates the
+activity classes, which tile the cube with one minimal reorientation in
+each class.
 
 Whole-cube questions are views over builds memoized on M: here the
 per-element activity bitsets of _cube, which _held, _outside and
@@ -44,6 +47,7 @@ from .core import (
     _bit_table,
     _check_reorientation,
     _elements_of,
+    _is_int,
     _positive,
     _positive_words,
     _word_planes,
@@ -68,13 +72,16 @@ def _positions(n, order):
     """position[e] of each element in the given ground order; None = identity.
 
     order lists the elements from smallest to largest and must be a
-    permutation of range(n).
+    permutation of range(n) made of ints (not bools or floats).  The
+    identity permutation also gives None, so it shares None's memo entries.
     """
     if order is None:
         return None
-    order = list(order)
-    if sorted(order) != list(range(n)):
+    order, identity = list(order), list(range(n))
+    if not all(map(_is_int, order)) or sorted(order) != identity:
         raise ValueError("order must be a permutation of range(%d)" % n)
+    if order == identity:
+        return None
     pos = [0] * n
     for k, e in enumerate(order):
         pos[e] = k
@@ -291,114 +298,12 @@ def greedy_ends(M, order=None):
     raise RuntimeError("greedy walks of %s did not stop within 2^%d flips" % (M.name, M.n))
 
 
-class ActivePart:
-    """One part of an active partition: a leader and its element block."""
-
-    __slots__ = ("leader", "elements_mask", "side")
-
-    def __init__(self, leader, elements_mask, side):
-        self.leader = leader
-        self.elements_mask = elements_mask
-        self.side = side  # "circuit" or "cocircuit"
-
-    @property
-    def elements(self) -> frozenset:
-        return frozenset(_elements_of(self.elements_mask))
-
-    def __repr__(self):
-        return "ActivePart(leader=%d, elements=%r, side=%r)" % (
-            self.leader,
-            _elements_of(self.elements_mask),
-            self.side,
-        )
-
-
-class ActivePartition:
-    """Active partition of the ground set at one reorientation."""
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-
-    def side(self, which):
-        return tuple(p for p in self.parts if p.side == which)
-
-    @property
-    def part_masks(self):
-        return tuple(p.elements_mask for p in self.parts)
-
-    def __repr__(self):
-        return "ActivePartition(%r)" % (list(self.parts),)
-
-
-def _side_parts(entries, key, side):
-    """Threshold-union parts for one side.
-
-    entries: (support mask, min element) of each positive set of that kind;
-    key: the order's element key.
-    F(a) = union of supports whose minimum is >= a in the order; the part
-    of leader a_i is F(a_i) minus F(a_(i+1)) over the sorted leaders, so
-    one walk down the leaders builds every part.
-    """
-    parts = []
-    acc = 0
-    for a in sorted({m for _, m in entries}, key=key, reverse=True):
-        upper = acc
-        for supp, m in entries:
-            if m == a:
-                acc |= supp
-        parts.append(ActivePart(a, acc & ~upper, side))
-    return parts[::-1]
-
-
-def active_partition(M, A: int, order=None) -> ActivePartition:
-    """Partition of the ground set induced by the activities of -_A M.
-
-    Circuit-side parts tile the cyclic part, cocircuit-side parts the
-    acyclic part; each leader is the minimum of its part under the order.
-    Violations raise InvalidOrientedMatroid (they cannot occur for a valid
-    oriented matroid).
-    """
-    _check_reorientation(M, A)
-    positions = _positions(M.n, order)
-    key = _element_key(positions)
-    sides = []
-    for data, side in ((M.circuit_data, "circuit"), (M.cocircuit_data, "cocircuit")):
-        entries = [
-            (supp, _min_bit(supp, positions).bit_length() - 1)
-            for supp, _, _ in _positive(data, A)
-        ]
-        sides.append(_side_parts(entries, key, side))
-    parts = sides[0] + sides[1]
-
-    covered = 0
-    for p in parts:
-        if covered & p.elements_mask:
-            raise InvalidOrientedMatroid(
-                "active partition parts overlap at reorientation %d of %s" % (A, M.name)
-            )
-        covered |= p.elements_mask
-        if not (p.elements_mask >> p.leader) & 1:
-            raise InvalidOrientedMatroid(
-                "leader %d dropped out of its part at reorientation %d" % (p.leader, A)
-            )
-        if _min_bit(p.elements_mask, positions) != 1 << p.leader:
-            raise InvalidOrientedMatroid(
-                "leader %d is not the minimum of its part at reorientation %d"
-                % (p.leader, A)
-            )
-    if covered != M.ground_mask:
-        raise InvalidOrientedMatroid(
-            "active partition misses elements at reorientation %d of %s" % (A, M.name)
-        )
-    return ActivePartition(sorted(parts, key=lambda p: key(p.leader)))
-
-
 class ActivityClasses:
     """Partition of all 2^n reorientations into activity classes.
 
     A class is generated from any member by flipping arbitrary unions of
-    its active-partition parts; classes are listed by ascending
-    representative (the minimum member).
+    the parts of that member's active partition; classes are listed by
+    ascending representative (the minimum member).
     """
 
     def __init__(self, n, classes, class_of):
@@ -430,8 +335,8 @@ def activity_classes(M, order=None) -> ActivityClasses:
     grouped by order-minimum and the groups visited from the largest
     minimum down; covered[f] holds the words where f already lies in a
     positive set of a larger minimum, so the words a group adds to it are
-    those where f's part leader L_A(f), the largest minimum of a positive
-    set holding f, is that group's minimum.  Two tables come out: U[A],
+    those where f's part leader L_A(f) (see the module docstring) is that
+    group's minimum.  Two tables come out: U[A],
     the elements whose leader lies in A, so key[A] = A ^ U[A] flips away
     every part whose leader A holds and is the class's circuit-cocircuit
     minimal word; and sig[A], each L_A(f) bit-sliced into ceil(log2 n)
@@ -442,9 +347,9 @@ def activity_classes(M, order=None) -> ActivityClasses:
     Three checks cover every word; a failure raises InvalidOrientedMatroid
     (none can occur for a valid oriented matroid):
 
-    1. the positive circuits and the positive cocircuits tile the ground
-       set, reported at the lowest word where they overlap or miss an
-       element, in active_partition's words;
+    1. the supports of the positive circuits and of the positive
+       cocircuits cover the ground set disjointly, so the parts tile it,
+       reported at the lowest word where they overlap or miss an element;
     2. sig[A] == sig[key[A]]: every word has its key's active partition,
        reported at the lowest word that does not;
     3. the words of key K number 2^p, p the parts at K, counted by the

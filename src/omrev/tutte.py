@@ -102,10 +102,6 @@ class TuttePolynomial:
     def to_json_dict(self):
         return {"rank": self.rank, "coeffs": [list(row) for row in self.coeffs]}
 
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(data["rank"], data["coeffs"])
-
 
 def _kept_planes(M, planes):
     """kept[e]: bitset of the words S whose circuit-greedy set holds e.

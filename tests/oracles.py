@@ -15,9 +15,11 @@ the bit-sliced activity sum, on any signed lists.
 subset_greedy_ref runs the circuit-greedy rank word by word, and
 tutte_polynomial_ref sums the corank-nullity expansion over it; they pin
 the bit-sliced sum in tutte_polynomial, on any circuit list.
-activity_classes_ref flips the active-partition parts at each class
-representative, one class at a time; it pins the leader sweep in
-activity_classes, on any signed lists and order.
+active_partition builds one word's parts as threshold unions of the
+supports core._positive lists there, and checks that they tile the ground
+set; activity_classes_ref flips those parts at each class representative,
+one class at a time.  They pin the leader sweep in activity_classes, on
+any signed lists and order.
 tiling_ref scans the acyclic/cyclic split word by word, and
 orthogonality_ref compares every circuit with every cocircuit; they pin
 the bitset checks in validate, on any lists.
@@ -27,9 +29,9 @@ from array import array
 from fractions import Fraction
 from math import comb
 
-from omrev import InvalidOrientedMatroid, TuttePolynomial, active_partition
-from omrev.activity import ActivityClasses, _min_bit, _positions
-from omrev.core import _by_top
+from omrev import InvalidOrientedMatroid, TuttePolynomial
+from omrev.activity import ActivityClasses, _element_key, _min_bit, _positions
+from omrev.core import _by_top, _check_reorientation, _elements_of, _positive
 
 
 def matrix_rank(rows, cols):
@@ -326,6 +328,108 @@ def tutte_via_activities_ref(M, order=None):
                 )
             coeffs[i][j] = c >> (i + j)
     return TuttePolynomial(r, coeffs)
+
+
+class ActivePart:
+    """One part of an active partition: a leader and its element block."""
+
+    __slots__ = ("leader", "elements_mask", "side")
+
+    def __init__(self, leader, elements_mask, side):
+        self.leader = leader
+        self.elements_mask = elements_mask
+        self.side = side  # "circuit" or "cocircuit"
+
+    @property
+    def elements(self) -> frozenset:
+        return frozenset(_elements_of(self.elements_mask))
+
+    def __repr__(self):
+        return "ActivePart(leader=%d, elements=%r, side=%r)" % (
+            self.leader,
+            _elements_of(self.elements_mask),
+            self.side,
+        )
+
+
+class ActivePartition:
+    """Active partition of the ground set at one reorientation."""
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+
+    def side(self, which):
+        return tuple(p for p in self.parts if p.side == which)
+
+    @property
+    def part_masks(self):
+        return tuple(p.elements_mask for p in self.parts)
+
+    def __repr__(self):
+        return "ActivePartition(%r)" % (list(self.parts),)
+
+
+def _side_parts(entries, key, side):
+    """Threshold-union parts for one side.
+
+    entries: (support mask, min element) of each positive set of that kind;
+    key: the order's element key.
+    F(a) = union of supports whose minimum is >= a in the order; the part
+    of leader a_i is F(a_i) minus F(a_(i+1)) over the sorted leaders, so
+    one walk down the leaders builds every part.
+    """
+    parts = []
+    acc = 0
+    for a in sorted({m for _, m in entries}, key=key, reverse=True):
+        upper = acc
+        for supp, m in entries:
+            if m == a:
+                acc |= supp
+        parts.append(ActivePart(a, acc & ~upper, side))
+    return parts[::-1]
+
+
+def active_partition(M, A: int, order=None) -> ActivePartition:
+    """Partition of the ground set induced by the activities of -_A M.
+
+    Circuit-side parts tile the cyclic part, cocircuit-side parts the
+    acyclic part; each leader is the minimum of its part under the order.
+    Violations raise InvalidOrientedMatroid (they cannot occur for a valid
+    oriented matroid).
+    """
+    _check_reorientation(M, A)
+    positions = _positions(M.n, order)
+    key = _element_key(positions)
+    sides = []
+    for data, side in ((M.circuit_data, "circuit"), (M.cocircuit_data, "cocircuit")):
+        entries = [
+            (supp, _min_bit(supp, positions).bit_length() - 1)
+            for supp, _, _ in _positive(data, A)
+        ]
+        sides.append(_side_parts(entries, key, side))
+    parts = sides[0] + sides[1]
+
+    covered = 0
+    for p in parts:
+        if covered & p.elements_mask:
+            raise InvalidOrientedMatroid(
+                "active partition parts overlap at reorientation %d of %s" % (A, M.name)
+            )
+        covered |= p.elements_mask
+        if not (p.elements_mask >> p.leader) & 1:
+            raise InvalidOrientedMatroid(
+                "leader %d dropped out of its part at reorientation %d" % (p.leader, A)
+            )
+        if _min_bit(p.elements_mask, positions) != 1 << p.leader:
+            raise InvalidOrientedMatroid(
+                "leader %d is not the minimum of its part at reorientation %d"
+                % (p.leader, A)
+            )
+    if covered != M.ground_mask:
+        raise InvalidOrientedMatroid(
+            "active partition misses elements at reorientation %d of %s" % (A, M.name)
+        )
+    return ActivePartition(sorted(parts, key=lambda p: key(p.leader)))
 
 
 def activity_classes_ref(M, order=None):

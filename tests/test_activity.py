@@ -14,7 +14,6 @@ from omrev import (
     OrientedMatroid,
     SignedSet,
     activities,
-    active_partition,
     activity_classes,
     activity_report,
     build_from_graph,
@@ -38,6 +37,7 @@ from omrev import activity, reversal
 from omrev.cli import analyze_instance
 from omrev.core import LOWEST_WORDS, _bit_table, _greedy_rank
 from oracles import (
+    active_partition,
     activity_classes_ref,
     cube_minima_ref,
     greedy_minimalize_ref,
@@ -122,10 +122,13 @@ class TestActivities:
         assert activities(M, 0b100, order=(2, 1, 0)).active_elements == frozenset({2})
 
     def test_bad_order_rejected(self):
-        with pytest.raises(ValueError):
-            activities(get_instance("tri"), 0, order=(0, 1))
-        with pytest.raises(ValueError):
-            activities(get_instance("tri"), 0, order=(0, 1, 1))
+        # floats and bools compare equal to ints, so sorting alone passes them
+        M = get_instance("tri")
+        for order in ((0, 1), (0, 1, 1), (0.0, 1, 2), (True, 0, 2)):
+            with pytest.raises(ValueError, match="permutation"):
+                activities(M, 0, order=order)
+            with pytest.raises(ValueError, match="permutation"):
+                minimal_counts(M, order)
 
 
 class TestIsMinimal:
@@ -205,6 +208,21 @@ class TestMinimalCounts:
             assert counts == minimal_counts_ref(M, None), name
             reversed_order = tuple(range(M.n))[::-1]
             assert _tables(M, reversed_order) == cube_minima_ref(M, reversed_order)
+
+    def test_identity_order_is_the_default_order(self):
+        # an explicit identity order shares the default order's build, which
+        # takes the bitsets validate left off M; the report still echoes the
+        # order as given
+        for name in ("tri", "u24"):
+            stored = dual(get_instance(name))
+            M = build_from_signed_sets(stored.circuits, stored.cocircuits, n=stored.n)
+            assert activity._cube(M, range(M.n)) is activity._cube(M)
+            M = build_from_signed_sets(stored.circuits, stored.cocircuits, n=stored.n)
+            report = analyze_instance(M, order=range(M.n))
+            assert LOWEST_WORDS not in M._cache, name
+            assert [key for key in M._cache if key[0] == "cube"] == [("cube", None)], name
+            assert report.order == tuple(range(M.n))
+            assert report.to_json_dict()["order"] == list(range(M.n))
 
     @settings(max_examples=20, deadline=None)
     @given(SMALL_MATRICES)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import omrev
 from omrev.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -33,6 +34,14 @@ def test_library_quick_start_comments():
         assert repr(eval(expr, namespace)) == note.split("  - ")[0].strip(), expr
     (tutte_note,) = [note for stmt, note in lines if stmt.startswith("T =")]
     assert str(namespace["T"]) == tutte_note
+
+
+def test_api_paragraph_names_exist():
+    """Every backticked name in the API paragraph is a public attribute of omrev."""
+    (paragraph,) = re.findall(r"^Builders: .*?the class\s+structure\.", README, re.M | re.S)
+    names = re.findall(r"`([^`]*)`", paragraph)
+    assert len(names) >= 15
+    assert [name for name in names if not hasattr(omrev, name)] == []
 
 
 def test_command_blocks_found():

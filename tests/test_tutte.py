@@ -16,6 +16,7 @@ from omrev import (
     get_instance,
     rank,
     tutte_polynomial,
+    tutte_via_activities,
 )
 from omrev.core import _greedy_rank
 from oracles import matrix_rank, tutte_coeffs_from_matrix, tutte_polynomial_ref
@@ -144,10 +145,11 @@ class TestValidation:
             with pytest.raises(InvalidOrientedMatroid):
                 tutte_polynomial(bad)
 
-    def test_json_round_trip(self):
-        T = tutte_polynomial(build_uniform(2, 4))
-        again = TuttePolynomial.from_json_dict(T.to_json_dict())
-        assert again == T and hash(again) == hash(T)
+    def test_equal_builds_hash_equal(self):
+        M = build_uniform(2, 4)
+        T, again = tutte_polynomial(M), tutte_via_activities(M)
+        assert again is not T and again == T and hash(again) == hash(T)
+        assert T.to_json_dict() == {"rank": 2, "coeffs": [[0, 2, 1], [2, 0, 0], [1, 0, 0]]}
 
 
 def _outcome(polynomial, M):
