@@ -1,10 +1,10 @@
 """Byte-identity of the command-line outputs, as SHA-256 digests.
 
 For every catalog entry and for its dual (passed as a signed instance
-file), the digests cover `analyze --out json` plain, with `--verbose` and
-with the reversed `--order`, the `analyze` table, `witness --out json` in
-every accepted (mode, restriction) pair, and `verify`.  A refactor that
-keeps every output must keep every digest.
+file), the digests cover `analyze --out json` plain, with `--verbose`,
+with the reversed `--order` and with both, the `analyze` table,
+`witness --out json` in every accepted (mode, restriction) pair, and
+`verify`.  A refactor that keeps every output must keep every digest.
 
 When an output change is intended, rewrite the digests with
 
@@ -81,7 +81,7 @@ def outputs(directory):
             (dual_entry.name, dual_path, dual_entry),
         ):
             order = ",".join(map(str, range(n - 1, -1, -1)))
-            for flags in ([], ["--verbose"], ["--order", order]):
+            for flags in ([], ["--verbose"], ["--order", order], ["--verbose", "--order", order]):
                 argv = ["analyze", target, "--out", "json", *flags]
                 digests["%s: %s" % (label, " ".join(argv[2:]))] = _cli(argv)
             digests["%s: --out table" % label] = _cli(["analyze", target])
