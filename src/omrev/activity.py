@@ -20,13 +20,15 @@ the active partition of A.  Flipping unions of parts generates the
 activity classes, which tile the cube with one minimal reorientation in
 each class.
 
-Whole-cube questions are views over builds memoized on M: here the
-per-element activity bitsets of _cube, which _held, _outside and
-tutte_via_activities read, in module reversal the reversal forests.  Both
-work on Python big-int bitsets and whole lists at C speed rather than in
-per-word Python loops; so do greedy_ends, which walks every word at once,
-and activity_classes, which finds every word's part leaders in one sweep
-over the stored sets.
+Whole-cube questions are views over core._cube's per-element activity
+bitsets, which _held, _outside and tutte_via_activities read: memoized on
+M for the identity order, where validate's tiling pass leaves them, and
+built per call under any other.  Each public function resolves its order
+once, by _positions.  Like module reversal's forests, the views work on
+Python big-int bitsets and whole lists at C speed rather than in per-word
+Python loops; so do greedy_ends, which walks every word at once, and
+activity_classes, which finds every word's part leaders in one sweep over
+the stored sets.
 
 One-word queries are views over core._positive, which lists the stored
 sets of one kind that are positive at a word; they never build the
@@ -41,13 +43,14 @@ from itertools import groupby
 from operator import itemgetter, ne, or_, xor
 
 from .core import (
-    LOWEST_WORDS,
     InvalidOrientedMatroid,
     _TABLE_BITS,
     _bit_table,
     _check_reorientation,
+    _cube,
     _elements_of,
     _is_int,
+    _min_bit,
     _positive,
     _positive_words,
     _word_planes,
@@ -73,7 +76,7 @@ def _positions(n, order):
 
     order lists the elements from smallest to largest and must be a
     permutation of range(n) made of ints (not bools or floats).  The
-    identity permutation also gives None, so it shares None's memo entries.
+    identity permutation also gives None, so it reads the memoized hits.
     """
     if order is None:
         return None
@@ -93,62 +96,25 @@ def _element_key(positions):
     return (lambda e: e) if positions is None else positions.__getitem__
 
 
-def _min_bit(supp_mask, positions):
-    """Bit of the minimum element of a support under the order."""
-    if positions is None:
-        return supp_mask & -supp_mask
-    return 1 << min(_elements_of(supp_mask), key=positions.__getitem__)
-
-
-def _cube(M, order=None):
-    """(circuit hits, cocircuit hits): n bitsets per kind over the 2^n words.
-
-    Bit A of hits[e] is set when e is the order-minimum of a positive set
-    of that kind at A, that is, when e is (dual-)active at A.  A stored set
-    X is positive exactly at the words B | X- and B | X+ over the subsets B
-    of the complement of its support, one bitset by core._positive_words,
-    which is ORed into hits[e] of its order-minimum e.  Equal orders share
-    one memo entry whatever their sequence type.  The identity order's hits
-    are the ones validate's tiling pass left on M, when it ran; they are
-    taken off the memo once read.
-    """
-    positions = _positions(M.n, order)
-    key = ("cube", positions if positions is None else tuple(positions))
-    hits = M._cache.get(key)
-    if hits is None:
-        # validate's tiling pass leaves the identity order's bitsets on M
-        hits = M._cache.pop(LOWEST_WORDS, None) if positions is None else None
-        if hits is None:
-            planes = _word_planes(M.n)
-            hits = ([0] * M.n, [0] * M.n)
-            for data, per_element in zip((M.circuit_data, M.cocircuit_data), hits):
-                for supp, pos, neg in data:
-                    e = _min_bit(supp, positions).bit_length() - 1
-                    per_element[e] |= _positive_words(planes, supp, pos, neg)
-        M._cache[key] = hits
-    return hits
-
-
-def _held(M, order=None):
+def _held(hits):
     """The words each mode's minimality excludes, keyed by mode.
 
     A kind excludes the OR of hits[e] & P_e, the words holding an
     order-minimum of a positive set of that kind; 'both' excludes the
     union.  One planes build serves every mode.
     """
-    hits = _cube(M, order)
-    planes = _word_planes(M.n)  # after _cube: one set of planes alive at a time
+    planes = _word_planes(len(hits[0]))
     circuit, cocircuit = (
         reduce(or_, (h & P for (_, P), h in zip(planes, per_element)), 0) for per_element in hits
     )
     return {"circuit": circuit, "cocircuit": cocircuit, "both": circuit | cocircuit}
 
 
-def _outside(M, restriction, order=None):
+def _outside(hits, restriction):
     """OR of the forbidden kind's hits, alike under any order: the words it excludes."""
     if restriction == "all":
         return 0
-    return reduce(or_, _cube(M, order)[0 if restriction == "acyclic" else 1], 0)
+    return reduce(or_, hits[0 if restriction == "acyclic" else 1], 0)
 
 
 class ActivityData:
@@ -220,9 +186,10 @@ def minimal_counts(M, order=None):
     These equal the Tutte evaluations at the settings' points for every
     oriented matroid and every ground order.
     """
-    held = _held(M, order)
+    hits = _cube(M, _positions(M.n, order))
+    held = _held(hits)
     return tuple(
-        (1 << M.n) - (held[mode] | _outside(M, restriction, order)).bit_count()
+        (1 << M.n) - (held[mode] | _outside(hits, restriction)).bit_count()
         for _, mode, restriction, _ in SETTINGS
     )
 
@@ -417,7 +384,7 @@ def activity_classes(M, order=None) -> ActivityClasses:
     at_key = array("Q", map(sig.__getitem__, key))
     by_key = sorted(range(size), key=key.__getitem__)
     classes = sorted(map(tuple, map(itemgetter(1), groupby(by_key, key.__getitem__))))
-    leaders = _bit_table(list(map(or_, *_cube(M, order))), n)
+    leaders = _bit_table(list(map(or_, *_cube(M, positions))), n)
     parts = map(leaders.__getitem__, map(key.__getitem__, map(itemgetter(0), classes)))
     sizes = list(map(len, classes))
     spans = list(map((1).__lshift__, map(int.bit_count, parts)))
@@ -442,7 +409,7 @@ def tutte_via_activities(M, order=None) -> TuttePolynomial:
     input is not a valid oriented matroid and raises InvalidOrientedMatroid.
     """
     r, nul = M.rank, M.n - M.rank
-    act, dact = _cube(M, order)
+    act, dact = _cube(M, _positions(M.n, order))
     counts, A = _joint_counts(dact, act, r, nul, M.n)
     if A is not None:
         raise InvalidOrientedMatroid(
@@ -469,7 +436,7 @@ def activity_report(M, order=None):
     if M.n > 12:
         raise ValueError("activity_report is limited to n <= 12, got n=%d" % M.n)
     records = []
-    tables = (_bit_table(hits, M.n) for hits in _cube(M, order))
+    tables = (_bit_table(hits, M.n) for hits in _cube(M, _positions(M.n, order)))
     for A, act, dact in zip(range(1 << M.n), *tables):
         circ_hit = A & act
         coc_hit = A & dact

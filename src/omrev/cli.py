@@ -28,7 +28,7 @@ from .activity import (
     is_minimal,
     minimal_counts,
 )
-from .core import InvalidOrientedMatroid, OrientedMatroid, build_uniform, load_instance_file
+from .core import InvalidOrientedMatroid, OrientedMatroid, _cube, build_uniform, load_instance_file
 from .regularity import RegularityVerdict, classify, is_binary
 from .reversal import (
     find_minimal_pair_in_class,
@@ -171,6 +171,7 @@ def _check_minimal_counts(M, mins, evals):
 def analyze_instance(M: OrientedMatroid, order=None, verbose=False) -> AnalysisReport:
     """Compute the full analysis record for one oriented matroid."""
     # order-dependent steps first: a bad order or too large a verbose report fails fast
+    order = None if order is None else tuple(order)
     mins = minimal_counts(M, order)
     acts = tuple(activity_report(M, order)) if verbose else None
     T = tutte_polynomial(M)
@@ -185,7 +186,7 @@ def analyze_instance(M: OrientedMatroid, order=None, verbose=False) -> AnalysisR
         name=M.name,
         n=M.n,
         rank=M.rank,
-        order=tuple(order) if order is not None else None,
+        order=order,
         tutte=T,
         evaluations=evals,
         reversal_counts=counts,
@@ -316,7 +317,7 @@ def _verify_entry(entry, stream):
     # every word's walk ends at a minimal word of its own both/all class;
     # only on failure is the first failing word looked for, word by word
     ends = greedy_minimalize(M)
-    held = _held(M)["both"]
+    held = _held(_cube(M))["both"]
     rep = partitions[0].rep_of
     walked = not any(held >> B & 1 for B in set(ends)) and list(map(rep.__getitem__, ends)) == rep
     detail = ""

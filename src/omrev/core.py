@@ -575,11 +575,6 @@ def validate(M: OrientedMatroid) -> ValidationReport:
     return ValidationReport(not failures, failures)
 
 
-# memo key of the per-element bitsets, circuits then cocircuits, of the
-# words where some stored set whose lowest element is e is positive
-LOWEST_WORDS = "lowest words"
-
-
 def _untiled_word(M):
     """The lowest word A where -_A M does not split into acyclic and cyclic
     parts, or None when every word does.
@@ -588,9 +583,8 @@ def _untiled_word(M):
     of the circuits (cocircuits) whose support holds e, so bit A is set iff
     e lies in the cyclic (acyclic) part at A.  A word splits iff, for every
     e, exactly one of the two holds it.  The same pass ORs each set's
-    words into the bitset of its lowest element, and leaves those on M's
-    memo as LOWEST_WORDS, where activity._cube takes them as its
-    identity-order hits.
+    words into the bitset of its lowest element: the identity order's
+    hits, which it writes to _cube's memo entry.
     """
     planes = _word_planes(M.n)
     parts = []
@@ -605,13 +599,44 @@ def _untiled_word(M):
                 held[e] |= words
         parts.append(held)
         lowest.append(hits)
-    M._cache[LOWEST_WORDS] = tuple(lowest)
+    M._cache["cube"] = tuple(lowest)
     full = (1 << (1 << M.n)) - 1
     split = full
     for cyclic, acyclic in zip(*parts):
         split &= cyclic ^ acyclic
     bad = full ^ split
     return (bad & -bad).bit_length() - 1 if bad else None
+
+
+def _min_bit(supp_mask, positions):
+    """Bit of the minimum element of a support; positions None: identity order."""
+    if positions is None:
+        return supp_mask & -supp_mask
+    return 1 << min(_elements_of(supp_mask), key=positions.__getitem__)
+
+
+def _cube(M, positions=None):
+    """(circuit hits, cocircuit hits): n bitsets per kind over the 2^n words.
+
+    Bit A of hits[e] is set when e is the order-minimum of a positive set
+    of that kind at A, that is, when e is (dual-)active at A.  A stored set
+    X is positive exactly at the words B | X- and B | X+ over the subsets B
+    of the complement of its support, one bitset by _positive_words, which
+    is ORed into hits[e] of its order-minimum e.  Only the identity order
+    (positions None) is memoized, under the one key "cube" that validate's
+    tiling pass also fills; any other order is built per call and not kept.
+    """
+    hits = M._cache.get("cube") if positions is None else None
+    if hits is None:
+        planes = _word_planes(M.n)
+        hits = ([0] * M.n, [0] * M.n)
+        for data, per_element in zip((M.circuit_data, M.cocircuit_data), hits):
+            for supp, pos, neg in data:
+                e = _min_bit(supp, positions).bit_length() - 1
+                per_element[e] |= _positive_words(planes, supp, pos, neg)
+        if positions is None:
+            M._cache["cube"] = hits
+    return hits
 
 
 def dual(M: OrientedMatroid) -> OrientedMatroid:

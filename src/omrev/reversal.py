@@ -15,10 +15,11 @@ finer one, and the distinct links are united; its class count is the
 coarser one's less the merges.  A restricted setting is its mode's all
 partition cut down to the admitted words: acyclic (no positive circuit)
 or totally cyclic (no positive cocircuit), the complement of
-activity._outside.  In a valid oriented matroid no reversal moves the
-acyclic/cyclic split, so every class is wholly admitted or wholly
-outside; a mixed class means a permitted reversal leaves the admitted set
-and raises InvalidOrientedMatroid.
+activity._outside over core._cube's identity-order hits (the admitted
+words do not depend on the order).  In a valid oriented matroid no
+reversal moves the acyclic/cyclic split, so every class is wholly
+admitted or wholly outside; a mixed class means a permitted reversal
+leaves the admitted set and raises InvalidOrientedMatroid.
 
 The class counts in the five settings of tutte.SETTINGS are bounded
 above by, and for regular instances equal to, the Tutte evaluations at
@@ -34,6 +35,7 @@ from .core import (
     InvalidOrientedMatroid,
     _by_top,
     _check_reorientation,
+    _cube,
     _elements_of,
     _table_planes,
     _word_planes,
@@ -272,7 +274,7 @@ def _clear_words(bits, size):
 def _restrict(M, rep_of, restriction):
     """(rep_of, class count) cut down to the admitted words."""
     size = len(rep_of)
-    outside = _outside(M, restriction)
+    outside = _outside(_cube(M), restriction)
     admitted = _clear_words(outside, size)
     kept = set(compress(rep_of, admitted))
     if not kept.isdisjoint(compress(rep_of, _clear_words(outside ^ (1 << size) - 1, size))):
@@ -343,7 +345,8 @@ def find_minimal_pair_in_class(M, mode: str = "cocircuit", restriction: str = "a
     (mode='cocircuit', restriction='acyclic').
     """
     rep_of = reversal_classes(M, mode, restriction).rep_of
-    outside = _held(M)[mode] | _outside(M, restriction)
+    hits = _cube(M)
+    outside = _held(hits)[mode] | _outside(hits, restriction)
     first_minimal = {}
     best = None
     for A in compress(range(len(rep_of)), _clear_words(outside, len(rep_of))):

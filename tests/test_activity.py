@@ -33,9 +33,9 @@ from omrev import (
     tutte_polynomial,
     tutte_via_activities,
 )
-from omrev import activity, reversal
+from omrev import activity, core, reversal
 from omrev.cli import analyze_instance
-from omrev.core import LOWEST_WORDS, _bit_table, _greedy_rank
+from omrev.core import _bit_table, _greedy_rank
 from oracles import (
     active_partition,
     activity_classes_ref,
@@ -68,7 +68,12 @@ def _shuffled_orders(n, count, seed):
 
 def _tables(M, order=None):
     """_cube's per-element hits of both kinds, as one array entry per word."""
-    return tuple(_bit_table(hits, M.n) for hits in activity._cube(M, order))
+    return tuple(_bit_table(hits, M.n) for hits in core._cube(M, activity._positions(M.n, order)))
+
+
+def _signed_copy(M):
+    """M rebuilt from its signed lists, so validate has left its hits on the copy."""
+    return build_from_signed_sets(M.circuits, M.cocircuits, n=M.n)
 
 
 def _outcome(function, M, order):
@@ -179,50 +184,88 @@ class TestMinimalCounts:
         assert not [key for key in M._cache if key[0] == "reversal"]
 
     def test_one_planes_build_per_call(self, monkeypatch):
-        # on a warm memo the three modes' excluded words share one planes build
+        # on a warm identity memo the three modes' excluded words share one
+        # planes build, and _cube builds none
         M = get_instance("u35")
-        reversed_order = tuple(range(M.n))[::-1]
         minimal_counts(M)
-        minimal_counts(M, reversed_order)
         calls = []
-        build = activity._word_planes
-        monkeypatch.setattr(activity, "_word_planes", lambda n: calls.append(n) or build(n))
-        for k, order in enumerate((None, reversed_order, None), 1):
+        for module in (activity, core):
+            build = module._word_planes
+            monkeypatch.setattr(module, "_word_planes", lambda n, b=build: calls.append(n) or b(n))
+        for k, order in enumerate((None, range(M.n), None), 1):
             minimal_counts(M, order)
             assert calls == [M.n] * k
 
     def test_tables_read_the_bitsets_validate_left(self, monkeypatch):
         # validate's tiling pass leaves the identity order's per-element
-        # bitsets on M; the tables read them instead of recomputing the
-        # sets' positive words, and other orders still compute their own
+        # bitsets on M, in the one memo entry _cube reads: the tables read
+        # them instead of recomputing the sets' positive words, and other
+        # orders still compute their own
         for name in ("tri", "u35", "loop-plus-triangle"):
-            stored = get_instance(name)
-            M = build_from_signed_sets(stored.circuits, stored.cocircuits, n=stored.n)
-            assert LOWEST_WORDS in M._cache, name
+            M = _signed_copy(get_instance(name))
+            assert list(M._cache) == ["cube"], name
             with monkeypatch.context() as patched:
-                patched.setattr(activity, "_positive_words", None)
+                patched.setattr(core, "_positive_words", None)
                 tables = _tables(M)
                 counts = minimal_counts(M)
-            assert LOWEST_WORDS not in M._cache, name
+            assert list(M._cache) == ["cube"], name
             assert tables == cube_minima_ref(M), name
             assert counts == minimal_counts_ref(M, None), name
             reversed_order = tuple(range(M.n))[::-1]
             assert _tables(M, reversed_order) == cube_minima_ref(M, reversed_order)
 
-    def test_identity_order_is_the_default_order(self):
-        # an explicit identity order shares the default order's build, which
-        # takes the bitsets validate left off M; the report still echoes the
-        # order as given
+    def test_identity_order_is_the_default_order(self, monkeypatch):
+        # an explicit identity order reads the default order's memo entry,
+        # which validate filled; the report still echoes the order as given
         for name in ("tri", "u24"):
-            stored = dual(get_instance(name))
-            M = build_from_signed_sets(stored.circuits, stored.cocircuits, n=stored.n)
-            assert activity._cube(M, range(M.n)) is activity._cube(M)
-            M = build_from_signed_sets(stored.circuits, stored.cocircuits, n=stored.n)
+            M = _signed_copy(dual(get_instance(name)))
+            hits = M._cache["cube"]
+            assert activity._positions(M.n, range(M.n)) is None
+            with monkeypatch.context() as patched:
+                patched.setattr(core, "_positive_words", None)
+                assert minimal_counts(M, range(M.n)) == minimal_counts_ref(M, None), name
             report = analyze_instance(M, order=range(M.n))
-            assert LOWEST_WORDS not in M._cache, name
-            assert [key for key in M._cache if key[0] == "cube"] == [("cube", None)], name
+            assert M._cache["cube"] is hits, name
+            assert [key for key in M._cache if key[0] != "reversal"] == ["cube"], name
             assert report.order == tuple(range(M.n))
             assert report.to_json_dict()["order"] == list(range(M.n))
+
+    def test_other_orders_keep_no_hits(self):
+        # only the identity order's hits are memoized: calls under other
+        # orders build their own and leave M's memo as it was
+        orders = _shuffled_orders(5, 2, seed=13) + [(4, 3, 2, 1, 0)]
+        for M in (get_instance("u25"), _signed_copy(get_instance("u25"))):
+            before = dict(M._cache)
+            for order in orders:
+                minimal_counts(M, order)
+                activity_classes(M, order)
+                tutte_via_activities(M, order)
+            assert M._cache == before, M.name
+            assert all(M._cache[key] is value for key, value in before.items())
+
+    def test_one_shot_orders(self):
+        # each public function reads its order once, so an iterator serves
+        M = get_instance("u24")
+        order = (3, 2, 1, 0)
+        for function in (
+            minimal_counts,
+            activity_classes,
+            tutte_via_activities,
+            activity_report,
+            greedy_ends,
+            lambda M, order: greedy_minimalize(M, order=order),
+            lambda M, order: activities(M, 5, order),
+            lambda M, order: is_minimal(M, 5, "both", order),
+            lambda M, order: greedy_minimalize(M, 15, order),
+        ):
+            once, given = function(M, iter(order)), function(M, order)
+            if isinstance(given, activity.ActivityClasses):
+                once, given = _classes(once), _classes(given)
+            assert once == given
+        for verbose in (False, True):
+            report = analyze_instance(M, iter(order), verbose=verbose)
+            assert report.order == order
+            assert report == analyze_instance(M, order, verbose=verbose)
 
     @settings(max_examples=20, deadline=None)
     @given(SMALL_MATRICES)
@@ -449,9 +492,9 @@ class TestActivityClasses:
         # the group sizes are checked against _cube's leaders, counted apart
         # from the sweep: one leader dropped at word 0 halves its class
         M = get_instance("tri")
-        circuit_hits, cocircuit_hits = activity._cube(M)
+        circuit_hits, cocircuit_hits = core._cube(M)
         dropped = [cocircuit_hits[0] & ~1] + cocircuit_hits[1:]
-        monkeypatch.setattr(activity, "_cube", lambda M, order=None: (circuit_hits, dropped))
+        monkeypatch.setattr(activity, "_cube", lambda M, positions=None: (circuit_hits, dropped))
         with pytest.raises(
             InvalidOrientedMatroid, match="disagree around reorientation 0 of tri"
         ):

@@ -369,6 +369,32 @@ class TestVerify:
             % (name, detail)
         )
 
+    @pytest.mark.parametrize(
+        "rows, classes",
+        [
+            # a loop: no word is acyclic, so acyclic_cocircuit counts 0 of 0
+            ([[1, 1, 1, 1, 0], [1, 2, 3, 4, 0]], (2, 18, 9, 0, 1)),
+            # a coloop: no word is totally cyclic
+            ([[1, 1, 1, 1, 0], [1, 2, 3, 4, 0], [0, 0, 0, 0, 1]], (2, 9, 18, 1, 0)),
+        ],
+        ids=["loop", "coloop"],
+    )
+    def test_empty_restriction_has_no_gap_to_show(self, rows, classes):
+        # a non-regular instance shows a strict gap in every setting except
+        # a restriction that admits no word, where both counts are 0
+        name = "u24-plus-%s" % ("loop" if len(rows) == 2 else "coloop")
+        entry = CatalogEntry(
+            name=name,
+            description="U(2,4) with an extra element",
+            tags=frozenset({"non-regular"}),
+            expected={},
+            factory=lambda: omrev.build_from_matrix(rows, name=name),
+        )
+        assert omrev.reversal_counts(entry.build()) == classes
+        code, text = _run(cmd_verify, entries=[entry])
+        assert code == 0
+        assert text == "ok %-18s  9 assertions\nPASS (1 instances)\n" % name
+
     def test_corrupted_expected_table_fails(self):
         bad = CatalogEntry(
             name="tri-corrupt",
