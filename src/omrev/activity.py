@@ -28,7 +28,9 @@ once, by _positions.  Like module reversal's forests, the views work on
 Python big-int bitsets and whole lists at C speed rather than in per-word
 Python loops; so do greedy_ends, which walks every word at once, and
 activity_classes, which finds every word's part leaders in one sweep over
-the stored sets.
+core._words_by_minimum, the by-minimum stream of stored sets that _cube
+and validate's tiling pass also read, and takes its tiling verdict from
+core._lowest_untiled, as validate does.
 
 One-word queries are views over core._positive, which lists the stored
 sets of one kind that are positive at a word; they never build the
@@ -48,12 +50,15 @@ from .core import (
     _bit_table,
     _check_reorientation,
     _cube,
+    _element_key,
     _elements_of,
     _is_int,
+    _lowest_untiled,
     _min_bit,
     _positive,
     _positive_words,
     _word_planes,
+    _words_by_minimum,
 )
 from .tutte import SETTINGS, TuttePolynomial, _joint_counts
 
@@ -89,11 +94,6 @@ def _positions(n, order):
     for k, e in enumerate(order):
         pos[e] = k
     return pos
-
-
-def _element_key(positions):
-    """Sort key of an element under the order: its position in it."""
-    return (lambda e: e) if positions is None else positions.__getitem__
 
 
 def _held(hits):
@@ -298,12 +298,12 @@ def activity_classes(M, order=None) -> ActivityClasses:
     contains exactly one circuit-cocircuit minimal reorientation; the class
     count equals the basis count t(1,1).
 
-    Every word is classified at once.  For each kind, the stored sets are
-    grouped by order-minimum and the groups visited from the largest
-    minimum down; covered[f] holds the words where f already lies in a
-    positive set of a larger minimum, so the words a group adds to it are
-    those where f's part leader L_A(f) (see the module docstring) is that
-    group's minimum.  Two tables come out: U[A],
+    Every word is classified at once.  For each kind,
+    core._words_by_minimum yields the stored sets grouped by order-minimum,
+    from the largest minimum down; covered[f] holds the words where f
+    already lies in a positive set of a larger minimum, so the words a
+    group adds to it are those where f's part leader L_A(f) (see the module
+    docstring) is that group's minimum.  Two tables come out: U[A],
     the elements whose leader lies in A, so key[A] = A ^ U[A] flips away
     every part whose leader A holds and is the class's circuit-cocircuit
     minimal word; and sig[A], each L_A(f) bit-sliced into ceil(log2 n)
@@ -316,7 +316,8 @@ def activity_classes(M, order=None) -> ActivityClasses:
 
     1. the supports of the positive circuits and of the positive
        cocircuits cover the ground set disjointly, so the parts tile it,
-       reported at the lowest word where they overlap or miss an element;
+       reported at the lowest word where they overlap or miss an element
+       (core._lowest_untiled, validate's tiling verdict);
     2. sig[A] == sig[key[A]]: every word has its key's active partition,
        reported at the lowest word that does not;
     3. the words of key K number 2^p, p the parts at K, counted by the
@@ -342,20 +343,15 @@ def activity_classes(M, order=None) -> ActivityClasses:
         )
     positions = _positions(n, order)
     planes = _word_planes(n)
-    full = (1 << (1 << n)) - 1
     flipped = [0] * n  # bit A set iff L_A(f) lies in A
     code = [0] * (n * bits)  # bit A of code[f * bits + j] is bit j of L_A(f)
     cover = []
     for data in (M.circuit_data, M.cocircuit_data):
-        groups = {}
-        for t in data:
-            groups.setdefault(_min_bit(t[0], positions).bit_length() - 1, []).append(t)
         covered = [0] * n
-        for a in sorted(groups, key=_element_key(positions), reverse=True):
+        for a, group in groupby(_words_by_minimum(data, n, positions), itemgetter(0)):
             reach = [0] * n
-            for t in groups[a]:
-                words = _positive_words(planes, *t)
-                for f in _elements_of(t[0]):
+            for _, supp, words in group:
+                for f in _elements_of(supp):
                     reach[f] |= words
             for f, words in enumerate(reach):
                 led = words & ~covered[f]
@@ -366,13 +362,8 @@ def activity_classes(M, order=None) -> ActivityClasses:
                         code[f * bits + j] |= led
         cover.append(covered)
 
-    overlap = missed = 0
-    for cyclic, acyclic in zip(*cover):
-        overlap |= cyclic & acyclic
-        missed |= full & ~(cyclic | acyclic)
-    bad = overlap | missed
-    if bad:
-        A = (bad & -bad).bit_length() - 1
+    A, overlap = _lowest_untiled(*cover, n)
+    if A is not None:
         raise InvalidOrientedMatroid(
             "active partition %s at reorientation %d of %s"
             % ("parts overlap" if overlap >> A & 1 else "misses elements", A, M.name)

@@ -12,8 +12,9 @@ its two sign parts over the support, i.e. A & supp(X) is X- or X+.
 
 Builders: an integer matrix (sign patterns of rational kernel vectors on
 minimal dependent column sets), a directed graph (signed incidence matrix),
-a uniform matroid U(r, n) (Vandermonde columns), or explicit signed-set
-lists.  All arithmetic is exact rational; no floats anywhere.
+a uniform matroid U(r, n) (the signs of Vandermonde columns, written out
+with no arithmetic), or explicit signed-set lists.  All arithmetic is
+exact rational; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from operator import and_, or_, xor
 
 MAX_ELEMENTS = 20
 
@@ -416,15 +418,25 @@ def build_from_graph(edges, *, vertices=None, name="graph") -> OrientedMatroid:
 
 
 def build_uniform(r, n, name=None) -> OrientedMatroid:
-    """U(r, n) realized by Vandermonde columns (1, t, ..., t^(r-1)), t = 1..n.
+    """U(r, n) oriented as by Vandermonde columns (1, t, ..., t^(r-1)), t = 1..n.
 
-    Distinct nodes make every r columns independent, so the circuits are
-    exactly the (r+1)-subsets and the cocircuits the (n-r+1)-subsets.
+    Every r columns in increasing order have a positive determinant, so no
+    arithmetic is needed: the circuit on an (r+1)-set alternates in sign
+    along the sorted set, and the cocircuit of the hyperplane spanned by an
+    (r-1)-set T gives each e outside T the sign (-1)^|{t in T : t > e}|.
+    The lists go through build_from_signed_sets, which validates them.
     """
     if not (_is_int(r) and _is_int(n) and 0 <= r <= n <= MAX_ELEMENTS):
         raise ValueError("invalid r, n: need integers 0 <= r <= n <= %d" % MAX_ELEMENTS)
-    matrix = [[(i + 1) ** p for i in range(n)] for p in range(r)]
-    return build_from_matrix(matrix, n=n, name=name or "U(%d,%d)" % (r, n))
+    circuits = [(S[0::2], S[1::2]) for S in itertools.combinations(range(n), r + 1)]
+    cocircuits = []
+    for T in itertools.combinations(range(n), r - 1) if r else ():
+        parts = ([], [])
+        for e in range(n):
+            if e not in T:
+                parts[sum(t > e for t in T) % 2].append(e)
+        cocircuits.append(parts)
+    return build_from_signed_sets(circuits, cocircuits, n=n, name=name or "U(%d,%d)" % (r, n))
 
 
 def build_from_signed_sets(circuits, cocircuits, *, n=None, name="signed") -> OrientedMatroid:
@@ -579,33 +591,46 @@ def _untiled_word(M):
     """The lowest word A where -_A M does not split into acyclic and cyclic
     parts, or None when every word does.
 
-    One pass per stored kind: cyclic[e] (acyclic[e]) ORs the _positive_words
-    of the circuits (cocircuits) whose support holds e, so bit A is set iff
-    e lies in the cyclic (acyclic) part at A.  A word splits iff, for every
-    e, exactly one of the two holds it.  The same pass ORs each set's
-    words into the bitset of its lowest element: the identity order's
-    hits, which it writes to _cube's memo entry.
+    One pass per stored kind over _words_by_minimum: cyclic[e] (acyclic[e])
+    ORs the words of the circuits (cocircuits) whose support holds e, so bit
+    A is set iff e lies in the cyclic (acyclic) part at A, and
+    _lowest_untiled gives the verdict.  The same pass ORs each set's words
+    into hits[a] of its minimum a: the identity order's hits, which it
+    writes to _cube's memo entry.
     """
-    planes = _word_planes(M.n)
     parts = []
     lowest = []
     for data in (M.circuit_data, M.cocircuit_data):
         held = [0] * M.n
         hits = [0] * M.n
-        for supp, pos, neg in data:
-            words = _positive_words(planes, supp, pos, neg)
-            hits[(supp & -supp).bit_length() - 1] |= words
+        for a, supp, words in _words_by_minimum(data, M.n):
+            hits[a] |= words
             for e in _elements_of(supp):
                 held[e] |= words
         parts.append(held)
         lowest.append(hits)
     M._cache["cube"] = tuple(lowest)
-    full = (1 << (1 << M.n)) - 1
-    split = full
-    for cyclic, acyclic in zip(*parts):
-        split &= cyclic ^ acyclic
-    bad = full ^ split
-    return (bad & -bad).bit_length() - 1 if bad else None
+    return _lowest_untiled(*parts, M.n)[0]
+
+
+def _lowest_untiled(cyclic, acyclic, n):
+    """(A, overlap) for per-element bitsets over the 2^n words: bit A of
+    cyclic[e] (acyclic[e]) is set iff e lies in the cyclic (acyclic) part
+    at A.
+
+    A word tiles iff every e lies in exactly one part; A is the lowest word
+    that does not, or None, and overlap holds the words where some e lies
+    in both parts.
+    """
+    full = (1 << (1 << n)) - 1
+    bad = full ^ reduce(and_, map(xor, cyclic, acyclic), full)
+    overlap = reduce(or_, map(and_, cyclic, acyclic), 0)
+    return ((bad & -bad).bit_length() - 1 if bad else None), overlap
+
+
+def _element_key(positions):
+    """Sort key of an element under the order: its position in it."""
+    return (lambda e: e) if positions is None else positions.__getitem__
 
 
 def _min_bit(supp_mask, positions):
@@ -615,25 +640,40 @@ def _min_bit(supp_mask, positions):
     return 1 << min(_elements_of(supp_mask), key=positions.__getitem__)
 
 
+def _words_by_minimum(data, n, positions=None):
+    """(a, supp, words) for each (supp, pos, neg) triple of one stored kind.
+
+    a is the order-minimum of supp (positions None: identity order) and
+    words the bitset of the 2^n words where the set is positive, from
+    _positive_words.  The triples come grouped by a, the groups from the
+    largest a down in the order, storage order within a group.  Every
+    whole-cube pass over the stored sets reads them here, except
+    greedy_ends, whose walk visits the distinct supports of both kinds.
+    """
+    planes = _word_planes(n)
+    groups = {}
+    for t in data:
+        groups.setdefault(_min_bit(t[0], positions).bit_length() - 1, []).append(t)
+    for a in sorted(groups, key=_element_key(positions), reverse=True):
+        for supp, pos, neg in groups[a]:
+            yield a, supp, _positive_words(planes, supp, pos, neg)
+
+
 def _cube(M, positions=None):
     """(circuit hits, cocircuit hits): n bitsets per kind over the 2^n words.
 
     Bit A of hits[e] is set when e is the order-minimum of a positive set
-    of that kind at A, that is, when e is (dual-)active at A.  A stored set
-    X is positive exactly at the words B | X- and B | X+ over the subsets B
-    of the complement of its support, one bitset by _positive_words, which
-    is ORed into hits[e] of its order-minimum e.  Only the identity order
+    of that kind at A, that is, when e is (dual-)active at A: the OR of the
+    words _words_by_minimum yields for minimum e.  Only the identity order
     (positions None) is memoized, under the one key "cube" that validate's
     tiling pass also fills; any other order is built per call and not kept.
     """
     hits = M._cache.get("cube") if positions is None else None
     if hits is None:
-        planes = _word_planes(M.n)
         hits = ([0] * M.n, [0] * M.n)
         for data, per_element in zip((M.circuit_data, M.cocircuit_data), hits):
-            for supp, pos, neg in data:
-                e = _min_bit(supp, positions).bit_length() - 1
-                per_element[e] |= _positive_words(planes, supp, pos, neg)
+            for a, _, words in _words_by_minimum(data, M.n, positions):
+                per_element[a] |= words
         if positions is None:
             M._cache["cube"] = hits
     return hits

@@ -82,24 +82,6 @@ class ReversalPartition:
     def members(self, rep: int):
         return [A for A in range(1 << self.n) if self.rep_of[A] == rep]
 
-    def to_json_dict(self, verbose=False):
-        out = {
-            "mode": self.mode,
-            "restriction": self.restriction,
-            "class_count": self.class_count,
-            "classes": [
-                {"representative": r, "size": s} for r, s in self.classes()
-            ],
-        }
-        if verbose:
-            members = {}
-            for A, r in enumerate(self.rep_of):
-                if r >= 0:
-                    members.setdefault(r, []).append(A)
-            for entry in out["classes"]:
-                entry["members"] = members[entry["representative"]]
-        return out
-
 
 def _joined(rep, edges):
     """(rep with the classes at the two ends of each edge merged, merges).

@@ -30,8 +30,8 @@ from fractions import Fraction
 from math import comb
 
 from omrev import InvalidOrientedMatroid, TuttePolynomial
-from omrev.activity import ActivityClasses, _element_key, _positions
-from omrev.core import _by_top, _check_reorientation, _elements_of, _min_bit, _positive
+from omrev.activity import ActivityClasses, _positions
+from omrev.core import _by_top, _check_reorientation, _element_key, _elements_of, _min_bit, _positive
 
 
 def matrix_rank(rows, cols):

@@ -421,6 +421,12 @@ class TestSurvey:
         assert lines[1] == "U(2,3),3,3,3,1,,regular - excluded from minimum"
         assert lines[2].startswith("U(2,4),4,6,2,3,3")
 
+    def test_u2k_up_to_sixteen_elements(self):
+        # uniform sources are written as signed lists, so n = 16 builds at once
+        code, text = _run(cmd_survey, family="u2k", max_n=16, out="csv")
+        assert code == 0
+        assert text.strip().split("\n")[-1] == "U(2,16),16,120,2,60,3,"
+
     def test_json_min_ratio(self):
         data = json.loads(_run(cmd_survey, out="json")[1])
         assert data["family"] == "catalog-nonregular"

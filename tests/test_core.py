@@ -1,4 +1,8 @@
+import ast
+import itertools
 import json
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,6 +217,14 @@ class TestUniformBuild:
     def test_bad_rank(self):
         with pytest.raises(ValueError):
             build_uniform(4, 3)
+
+    def test_matches_vandermonde_matrix(self):
+        # the alternating lists against the subset scan of the same columns
+        for n in range(9):
+            for r in range(n + 1):
+                M = build_uniform(r, n)
+                V = build_from_matrix([[(t + 1) ** p for t in range(n)] for p in range(r)], n=n)
+                assert (M.circuits, M.cocircuits, M.rank) == (V.circuits, V.cocircuits, r), (r, n)
 
 
 class TestSignedSetBuild:
@@ -429,6 +441,47 @@ class TestBitsetChecksAgainstScans:
                     assert tiling == _tiling_failures(D), (M.name, kind, i)
                     rejected += bool(tiling)
         assert rejected > 0
+
+
+class TestWordsByMinimum:
+    """core._words_by_minimum, the one pass over the stored sets of a kind."""
+
+    def test_positive_words_has_two_callers(self):
+        callers = []
+        for path in sorted(Path(core.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.FunctionDef):
+                    callers += [
+                        node.name
+                        for call in ast.walk(node)
+                        if isinstance(call, ast.Call)
+                        and getattr(call.func, "id", getattr(call.func, "attr", None))
+                        == "_positive_words"
+                    ]
+        assert sorted(callers) == ["_words_by_minimum", "greedy_ends"]
+
+    def test_each_set_once_in_descending_minimum_groups(self):
+        from test_activity import _catalog_and_duals  # test_activity imports this module
+
+        for M in _catalog_and_duals():
+            shuffled = list(range(M.n))
+            random.Random(M.n).shuffle(shuffled)
+            for order in (None, range(M.n - 1, -1, -1), shuffled):
+                position = {e: k for k, e in enumerate(order or range(M.n))}
+                positions = None if order is None else [position[e] for e in range(M.n)]
+                for data in (M.circuit_data, M.cocircuit_data):
+                    out = list(core._words_by_minimum(data, M.n, positions))
+                    assert sorted(supp for _, supp, _ in out) == sorted(t[0] for t in data)
+                    for a, supp, words in out:
+                        elements = [e for e in range(M.n) if supp >> e & 1]
+                        assert a == min(elements, key=position.__getitem__), (M.name, order)
+                        _, pos, neg = next(t for t in data if t[0] == supp)
+                        X = SignedSet(pos, neg)
+                        assert words == sum(
+                            1 << A for A in range(1 << M.n) if X.is_positive_in(A)
+                        ), (M.name, supp)
+                    keys = [position[a] for a, _ in itertools.groupby(a for a, _, _ in out)]
+                    assert all(x > y for x, y in zip(keys, keys[1:])), (M.name, order)
 
 
 class TestDual:
