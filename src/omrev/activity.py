@@ -348,9 +348,9 @@ def activity_classes(M, order=None) -> ActivityClasses:
     cover = []
     for data in (M.circuit_data, M.cocircuit_data):
         covered = [0] * n
-        for a, group in groupby(_words_by_minimum(data, n, positions), itemgetter(0)):
+        for a, group in _words_by_minimum(data, n, positions):
             reach = [0] * n
-            for _, supp, words in group:
+            for supp, words in group:
                 for f in _elements_of(supp):
                     reach[f] |= words
             for f, words in enumerate(reach):

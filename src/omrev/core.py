@@ -54,14 +54,22 @@ def _mask_of(elements):
     return m
 
 
+# per byte lane j of a mask below bit MAX_ELEMENTS, the ascending elements
+# 8j.. of each byte value; the unpacking fails if the cap needs a fourth lane
+_E0, _E1, _E2 = (
+    [tuple(8 * j + i for i in range(8) if x >> i & 1) for x in range(256)]
+    for j in range(-(-MAX_ELEMENTS // 8))
+)
+
+
 def _elements_of(mask):
-    """Set bits of mask as an ascending element list."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """Set bits of mask as an ascending element list, one table read per byte.
+
+    A mask that is negative or reaches bit MAX_ELEMENTS raises ValueError.
+    """
+    if mask >> MAX_ELEMENTS:
+        raise ValueError("element mask %r is not a mask below bit %d" % (mask, MAX_ELEMENTS))
+    return [*_E0[mask & 255], *_E1[mask >> 8 & 255], *_E2[mask >> 16]]
 
 
 class SignedSet:
@@ -603,10 +611,11 @@ def _untiled_word(M):
     for data in (M.circuit_data, M.cocircuit_data):
         held = [0] * M.n
         hits = [0] * M.n
-        for a, supp, words in _words_by_minimum(data, M.n):
-            hits[a] |= words
-            for e in _elements_of(supp):
-                held[e] |= words
+        for a, group in _words_by_minimum(data, M.n):
+            for supp, words in group:
+                hits[a] |= words
+                for e in _elements_of(supp):
+                    held[e] |= words
         parts.append(held)
         lowest.append(hits)
     M._cache["cube"] = tuple(lowest)
@@ -641,13 +650,16 @@ def _min_bit(supp_mask, positions):
 
 
 def _words_by_minimum(data, n, positions=None):
-    """(a, supp, words) for each (supp, pos, neg) triple of one stored kind.
+    """(a, group) for each order-minimum a of one stored kind.
 
-    a is the order-minimum of supp (positions None: identity order) and
-    words the bitset of the 2^n words where the set is positive, from
-    _positive_words.  The triples come grouped by a, the groups from the
-    largest a down in the order, storage order within a group.  Every
-    whole-cube pass over the stored sets reads them here, except
+    The (supp, pos, neg) triples are grouped by a, the order-minimum of
+    supp (positions None: identity order), and the groups come from the
+    largest a down in the order, one tuple each.  group yields (supp,
+    words) for its sets in storage order, words the bitset of the 2^n
+    words where the set is positive, from _positive_words; it is a
+    generator, so only one set's words are alive at a time (a list would
+    hold a whole group's, over 10 MB for the largest group of U(4,16)).
+    Every whole-cube pass over the stored sets reads them here, except
     greedy_ends, whose walk visits the distinct supports of both kinds.
     """
     planes = _word_planes(n)
@@ -655,8 +667,7 @@ def _words_by_minimum(data, n, positions=None):
     for t in data:
         groups.setdefault(_min_bit(t[0], positions).bit_length() - 1, []).append(t)
     for a in sorted(groups, key=_element_key(positions), reverse=True):
-        for supp, pos, neg in groups[a]:
-            yield a, supp, _positive_words(planes, supp, pos, neg)
+        yield a, ((supp, _positive_words(planes, supp, pos, neg)) for supp, pos, neg in groups[a])
 
 
 def _cube(M, positions=None):
@@ -672,8 +683,9 @@ def _cube(M, positions=None):
     if hits is None:
         hits = ([0] * M.n, [0] * M.n)
         for data, per_element in zip((M.circuit_data, M.cocircuit_data), hits):
-            for a, _, words in _words_by_minimum(data, M.n, positions):
-                per_element[a] |= words
+            for a, group in _words_by_minimum(data, M.n, positions):
+                for _, words in group:
+                    per_element[a] |= words
         if positions is None:
             M._cache["cube"] = hits
     return hits
@@ -752,9 +764,12 @@ def _positive_words(planes, supp, pos, neg):
     The mask-triple form of _positive over all words at once, from the
     _word_planes of the ground set.  S holds the words with A & supp ==
     neg; on those A ^ supp = A - neg + pos, so S shifted by pos - neg holds
-    the words with A & supp == pos.
+    the words with A & supp == pos.  S starts from -1, every bit set, not
+    from a 2^n-bit all-ones temporary: a stored support is never empty
+    (SignedSet rejects one), so the first plane ANDed in brings S within
+    the 2^n words.
     """
-    S = (1 << (1 << len(planes))) - 1
+    S = -1
     for i in _elements_of(supp):
         S &= planes[i][neg >> i & 1]
     d = pos - neg

@@ -28,6 +28,7 @@ their points.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import compress
 
 from .activity import MODES, RESTRICTIONS, _check_setting, _held, _outside  # noqa: F401
@@ -72,11 +73,8 @@ class ReversalPartition:
 
     def classes(self):
         """(representative, size) pairs by ascending representative."""
-        sizes = {}
-        for A in range(1 << self.n):
-            r = self.rep_of[A]
-            if r >= 0:
-                sizes[r] = sizes.get(r, 0) + 1
+        sizes = Counter(self.rep_of)
+        sizes.pop(-1, None)  # the words outside the admitted set
         return sorted(sizes.items())
 
     def members(self, rep: int):
@@ -151,18 +149,20 @@ def _pair_edges(rep, t, d, free):
 def _peeled_edges(rep, S, d, classes):
     """The class edges (rep[w], rep[w + d]) of the words w in the bitset S.
 
-    The class a of the lowest word of S is peeled off S with its bitset;
+    The class a of the highest word of S is peeled off S with its bitset;
     those words shifted by d are the partners, and each partner class b is
-    peeled off them in turn.  One pass per distinct class and edge.
+    peeled off them in turn, again from the highest word.  One pass per
+    distinct class and edge; bit_length finds the highest word with no
+    full-width temporary.
     """
     edges = set()
     while S:
-        a = rep[(S & -S).bit_length() - 1]
+        a = rep[S.bit_length() - 1]
         mine = S & classes[a]
         S ^= mine
         partners = mine << d if d >= 0 else mine >> -d
         while partners:
-            b = rep[(partners & -partners).bit_length() - 1]
+            b = rep[partners.bit_length() - 1]
             edges.add((a, b))
             partners ^= partners & classes[b]
     return edges
@@ -223,15 +223,17 @@ def _forest(data, n):
     The half-cube is read one of two ways.  The pair path reads every word
     through rep; peeling takes the half-cube as a bitset S over the 2^k
     words (an AND of _word_planes(k) over the fixed bits) and, while S is
-    not empty, takes the class a of its lowest word, removes a's words
+    not empty, takes the class a of its highest word, removes a's words
     from S, shifts them by d, and peels each partner class b off the
-    shifted set, one edge (a, b) each.  The class bitsets are built per
-    stage on first use.  The cost model: peeling costs a few big-int
-    operations per distinct class and edge instead of one set insertion
-    per word, so a set is peeled when its half-cube has more words than
-    the stage has classes; and the class bitsets take count bits per word,
-    so peeling runs only while count is at most _PEEL_CLASSES (256 bits,
-    about the class list's own size per word).
+    shifted set, again from its highest word, one edge (a, b) each.  The
+    class bitsets are built per stage on first use.  The cost model:
+    peeling costs three full-width big-int operations per distinct class
+    (an AND, an XOR and a shift) and two per edge (an AND and an XOR),
+    the highest word coming from bit_length in O(1), instead of one set
+    insertion per word, so a set is peeled when its half-cube has more
+    words than the stage has classes; and the class bitsets take count
+    bits per word, so peeling runs only while count is at most
+    _PEEL_CLASSES (256 bits, about the class list's own size per word).
 
     The class count doubles with rep and falls by one per merge.
     """

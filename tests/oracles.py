@@ -23,6 +23,8 @@ any signed lists and order.
 tiling_ref scans the acyclic/cyclic split word by word, and
 orthogonality_ref compares every circuit with every cocircuit; they pin
 the bitset checks in validate, on any lists.
+elements_of_ref peels a mask's lowest set bit once per loop pass; it pins
+the byte-lane table in core._elements_of.
 """
 
 from array import array
@@ -133,6 +135,16 @@ def tutte_polynomial_ref(M):
             raise InvalidOrientedMatroid("word %d leaves the rank or nullity range" % S)
         cn[r - rs][S.bit_count() - rs] += 1
     return TuttePolynomial(r, _coeffs_of_corank_nullity(cn))
+
+
+def elements_of_ref(mask):
+    """Set bits of a non-negative mask as an ascending element list."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def positive_in(X, A):

@@ -1,5 +1,4 @@
 import ast
-import itertools
 import json
 import random
 from pathlib import Path
@@ -25,7 +24,7 @@ from omrev import (
 )
 from omrev import core
 from omrev.core import _untiled_word
-from oracles import orthogonality_ref, tiling_ref
+from oracles import elements_of_ref, orthogonality_ref, tiling_ref
 
 TRIANGLE = [[1, 0, 1], [0, 1, 1]]
 U24_MATRIX = [[1, 0, 1, 1], [0, 1, 1, 2]]
@@ -470,7 +469,9 @@ class TestWordsByMinimum:
                 position = {e: k for k, e in enumerate(order or range(M.n))}
                 positions = None if order is None else [position[e] for e in range(M.n)]
                 for data in (M.circuit_data, M.cocircuit_data):
-                    out = list(core._words_by_minimum(data, M.n, positions))
+                    stream = core._words_by_minimum(data, M.n, positions)
+                    groups = [(a, list(group)) for a, group in stream]
+                    out = [(a, supp, words) for a, group in groups for supp, words in group]
                     assert sorted(supp for _, supp, _ in out) == sorted(t[0] for t in data)
                     for a, supp, words in out:
                         elements = [e for e in range(M.n) if supp >> e & 1]
@@ -480,8 +481,29 @@ class TestWordsByMinimum:
                         assert words == sum(
                             1 << A for A in range(1 << M.n) if X.is_positive_in(A)
                         ), (M.name, supp)
-                    keys = [position[a] for a, _ in itertools.groupby(a for a, _, _ in out)]
+                    keys = [position[a] for a, _ in groups]
                     assert all(x > y for x, y in zip(keys, keys[1:])), (M.name, order)
+
+
+class TestElementsOf:
+    """core._elements_of, the byte-lane table, against the bit-peeling loop."""
+
+    def test_every_mask_below_two_bytes(self):
+        for mask in range(1 << 16):
+            assert core._elements_of(mask) == elements_of_ref(mask), mask
+
+    def test_random_masks_up_to_the_cap(self):
+        rng = random.Random(19)
+        masks = [0, (1 << MAX_ELEMENTS) - 1, 1 << (MAX_ELEMENTS - 1)]
+        masks += [rng.getrandbits(MAX_ELEMENTS) for _ in range(5000)]
+        for mask in masks:
+            assert core._elements_of(mask) == elements_of_ref(mask), mask
+        assert core._elements_of(0) == []
+
+    @pytest.mark.parametrize("mask", [-1, -(1 << 8), 1 << MAX_ELEMENTS, 3 << MAX_ELEMENTS, 1 << 64])
+    def test_mask_outside_the_cap_rejected(self, mask):
+        with pytest.raises(ValueError, match="not a mask below bit %d" % MAX_ELEMENTS):
+            core._elements_of(mask)
 
 
 class TestDual:

@@ -241,6 +241,25 @@ def _spy_on_forest(monkeypatch, M):
     return built
 
 
+def _spy_on_peeled_sets(monkeypatch):
+    """Per stage reversal._stage_edges reads from now on: (a copy of rep, the
+    group, k, the class count, and the (S, d, edges) of each _peeled_edges call)."""
+    stages = []
+
+    def stage_spy(rep, group, k, count, real=reversal._stage_edges):
+        stages.append((list(rep), group, k, count, []))
+        return real(rep, group, k, count)
+
+    def peel_spy(rep, S, d, classes, real=reversal._peeled_edges):
+        edges = real(rep, S, d, classes)
+        stages[-1][4].append((S, d, edges))
+        return edges
+
+    monkeypatch.setattr(reversal, "_stage_edges", stage_spy)
+    monkeypatch.setattr(reversal, "_peeled_edges", peel_spy)
+    return stages
+
+
 class TestAgainstFlatLoops:
     """The doubling builds against the flat loops they replaced."""
 
@@ -292,6 +311,34 @@ class TestAgainstFlatLoops:
         taken = _spy_on_edge_paths(monkeypatch)
         assert _forests(M) == _forests_ref(M), name
         assert taken == paths, name
+
+    @pytest.mark.parametrize("name", ["U(2,9)", "U(3,12)", "n17"])
+    def test_each_peeled_set_matches_its_pairs(self, name, monkeypatch):
+        # set by set, not only whole forests: a peel that dropped an edge
+        # other sets imply would still give the right forest.  A set with
+        # top element k reads the words B | t, B within the bits 0..k-1
+        # outside its support but the top one of them, and is peeled when
+        # those outnumber the stage's classes and the classes are few
+        M = EDGE_PATH_CASES[name][0]()
+        stages = _spy_on_peeled_sets(monkeypatch)
+        _forests(M)
+        peeled = 0
+        for rep, group, k, count, calls in stages:
+            top = 1 << k
+            halves = []
+            for supp, pos, neg in group:
+                t = neg if pos & top else pos
+                comp = (top - 1) & ~supp
+                free = comp ^ (1 << comp.bit_length() >> 1)
+                if 1 << free.bit_count() > count and count <= reversal._PEEL_CLASSES:
+                    halves.append((t, (supp ^ top ^ t) - t, free))
+            assert len(calls) == len(halves), (name, k)
+            for (t, d, free), (S, d_read, edges) in zip(halves, calls):
+                assert S == sum(1 << w for w in range(top) if w & ~free == t), (name, k, t)
+                assert d_read == d, (name, k, t)
+                assert edges == reversal._pair_edges(rep, t, d, free), (name, k, t)
+            peeled += len(calls)
+        assert peeled > 0, name
 
     @settings(max_examples=60, deadline=None)
     @given(_unvalidated_lists(9))
