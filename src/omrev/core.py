@@ -13,8 +13,10 @@ its two sign parts over the support, i.e. A & supp(X) is X- or X+.
 Builders: an integer matrix (sign patterns of rational kernel vectors on
 minimal dependent column sets), a directed graph (signed incidence matrix),
 a uniform matroid U(r, n) (the signs of Vandermonde columns, written out
-with no arithmetic), or explicit signed-set lists.  All arithmetic is
-exact rational; no floats anywhere.
+with no arithmetic), or explicit signed-set lists.  Every source leaves
+through build_from_signed_sets, the one builder that constructs and
+validates an instance.  All arithmetic is exact rational; no floats
+anywhere.
 """
 
 from __future__ import annotations
@@ -373,7 +375,8 @@ def build_from_matrix(matrix, *, n=None, name="matrix") -> OrientedMatroid:
 
     Cocircuits are the circuits of the dual realization: any integer matrix
     whose rows span the orthogonal complement of the row space, here a
-    primitive kernel basis.
+    primitive kernel basis.  Both lists go through build_from_signed_sets,
+    which infers the rank and validates them.
     """
     rows = [list(r) for r in matrix]
     if rows:
@@ -391,10 +394,9 @@ def build_from_matrix(matrix, *, n=None, name="matrix") -> OrientedMatroid:
         for x in row:
             if not _is_int(x):
                 raise ValueError("matrix entries must be integers, got %r" % (x,))
-    dual_rows = _kernel_basis(rows, n)
     circuits = _circuits_of_matrix(rows, n)
-    cocircuits = _circuits_of_matrix(dual_rows, n)
-    return OrientedMatroid(n, n - len(dual_rows), circuits, cocircuits, name)
+    cocircuits = _circuits_of_matrix(_kernel_basis(rows, n), n)
+    return build_from_signed_sets(circuits, cocircuits, n=n, name=name)
 
 
 def build_from_graph(edges, *, vertices=None, name="graph") -> OrientedMatroid:
@@ -547,34 +549,22 @@ def _orthogonality_failures(M):
 
 
 def validate(M: OrientedMatroid) -> ValidationReport:
-    """Check the stored lists against the representation invariants.
+    """Check the stored lists against the cross-set invariants.
 
-    Covers canonical form and sign-part disjointness, element range,
-    support incomparability within each list, circuit/cocircuit sign
-    orthogonality, rank duality between the two lists, and that every
-    reorientation splits the ground set into its acyclic and cyclic parts
-    (Bjorner et al., Oriented Matroids, section 3.4).  Each failed check
-    reports its first counterexample; the tiling check, which reads every
-    word, runs only once the others pass.
+    The per-set invariants are held by the constructors: SignedSet rejects
+    overlapping sign parts and an empty support and stores the canonical
+    form, and OrientedMatroid rejects a set with an element outside
+    0..n-1.  validate checks what relates sets to each other: support
+    incomparability within each list, circuit/cocircuit sign
+    orthogonality, rank duality between the two lists and the stored
+    rank, and that every reorientation splits the ground set into its
+    acyclic and cyclic parts (Bjorner et al., Oriented Matroids, section
+    3.4).  Each failed check reports its first counterexample; the tiling
+    check, which reads every word, runs only once the others pass.
     """
-    failures = []
-    for kind, sets in (("circuit", M.circuits), ("cocircuit", M.cocircuits)):
-        for X in sets:
-            if X.pos_mask & X.neg_mask:
-                failures.append("%s %r has overlapping sign parts" % (kind, X))
-                break
-            if X.support_mask == 0:
-                failures.append("%s with empty support" % kind)
-                break
-            if (X.support_mask & -X.support_mask) & X.neg_mask:
-                failures.append("%s %r is not canonical" % (kind, X))
-                break
-            if X.support_mask & ~M.ground_mask:
-                failures.append("%s %r leaves the ground set" % (kind, X))
-                break
-        failures.extend(_incomparability_failures(kind, list(sets)))
-
-    failures.extend(_orthogonality_failures(M))
+    failures = _incomparability_failures("circuit", M.circuits)
+    failures += _incomparability_failures("cocircuit", M.cocircuits)
+    failures += _orthogonality_failures(M)
 
     circ_rank = _greedy_rank([s for s, _, _ in M.circuit_data], M.ground_mask)
     cocirc_rank = _greedy_rank([s for s, _, _ in M.cocircuit_data], M.ground_mask)

@@ -47,6 +47,10 @@ class TestSignedSet:
         with pytest.raises(ValueError):
             SignedSet((), ())
 
+    def test_negative_mask_rejected(self):
+        with pytest.raises(ValueError, match="element masks must be nonnegative"):
+            SignedSet(-1, 0)
+
     def test_sign(self):
         x = ss((0, 1), (2,))
         assert x.sign(0) == 1
@@ -190,6 +194,76 @@ class TestGraphBuild:
         compact = build_from_graph([(0, 1), (1, 0), (0, 2)])
         assert M == compact and M.rank == compact.rank == 2
         assert heights == [3, 3]
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Integer matrices of at most 7 columns with a zero column, a column
+    that is a +-k multiple of another and a row that is a combination of
+    the others, in a drawn column order."""
+    height = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 5))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(width)] for _ in range(height)]
+    source = draw(st.integers(0, width - 1))
+    k = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    for row in rows:
+        row += [0, k * row[source]]
+    weights = [draw(st.integers(-2, 2)) for _ in rows]
+    rows.append([sum(w * x for w, x in zip(weights, column)) for column in zip(*rows)])
+    order = draw(st.permutations(range(width + 2)))
+    return [[row[j] for j in order] for row in rows]
+
+
+class TestOneBuilderExit:
+    """Every source is constructed, and validated, by build_from_signed_sets."""
+
+    def test_oriented_matroid_has_two_constructors(self):
+        # dual is the other one: it swaps the lists of a built instance
+        callers = []
+        for path in sorted(Path(core.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owner = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    # breadth-first, so a nested function overwrites its parent
+                    owner.update((call, node.name) for call in ast.walk(node))
+            callers += [
+                owner.get(call, "<module>")
+                for call in ast.walk(tree)
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "id", getattr(call.func, "attr", None))
+                == "OrientedMatroid"
+            ]
+        assert sorted(callers) == ["build_from_signed_sets", "dual"]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_from_matrix(U24_MATRIX),
+            lambda: build_from_graph([(0, 1), (1, 2), (0, 2), (0, 0)]),
+        ],
+        ids=["matrix", "graph"],
+    )
+    def test_matrix_and_graph_builds_are_validated(self, build, monkeypatch):
+        # validate's tiling pass leaves the identity hits behind
+        assert "cube" in build()._cache
+        monkeypatch.setattr(core, "validate", lambda M: core.ValidationReport(False, ["stub"]))
+        with pytest.raises(InvalidOrientedMatroid, match="stub"):
+            build()
+
+    @settings(max_examples=25, deadline=None)
+    @given(degenerate_matrices())
+    def test_degenerate_matrices(self, rows):
+        from omrev import tutte_polynomial
+        from oracles import matrix_rank, tutte_coeffs_from_matrix
+
+        M = build_from_matrix(rows)
+        assert "cube" in M._cache
+        assert M.rank == matrix_rank(rows, list(range(M.n)))
+        r, coeffs = tutte_coeffs_from_matrix(rows, M.n)
+        T = tutte_polynomial(M)
+        assert T.rank == r
+        assert [list(row) for row in T.coeffs] == coeffs
 
 
 class TestUniformBuild:
@@ -553,6 +627,20 @@ class TestReorientationGeometry:
         M = build_from_matrix(TRIANGLE)
         with pytest.raises(ValueError):
             positive_sets(M, 1 << 5, "circuit")
+
+    def test_bad_kind_rejected(self):
+        M = build_from_matrix(TRIANGLE)
+        with pytest.raises(ValueError, match="kind must be 'circuit' or 'cocircuit', got 'loop'"):
+            positive_sets(M, 0, "loop")
+
+    def test_untiled_word_rejected(self):
+        # unvalidated: with no stored sets, no element lies in either part
+        M = OrientedMatroid(2, 1, [], [])
+        with pytest.raises(
+            InvalidOrientedMatroid,
+            match="reorientation 0 of om does not split into acyclic and cyclic parts",
+        ):
+            part_decomposition(M, 0)
 
 
 @st.composite
