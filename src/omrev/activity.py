@@ -56,7 +56,6 @@ from .core import (
     _lowest_untiled,
     _min_bit,
     _positive,
-    _positive_words,
     _word_planes,
     _words_by_minimum,
 )
@@ -233,28 +232,41 @@ def greedy_ends(M, order=None):
 
     The distinct supports of both kinds are visited in the walk's key
     order; each claims the words, not yet claimed, where it is positive
-    and that hold its order-minimum, which are the words where the walk
-    flips it.  _bit_table turns the claims into one flip mask per word, so
-    one step of the walk is a list, and pointer doubling composes it with
-    itself.  Every walk stops within 2^n - 1 flips, so n doublings reach
-    the endpoints and one more must change nothing.
+    and that hold its order-minimum m, which are the words where the walk
+    flips it.  A stored set is positive at a word holding m exactly when
+    the word meets its support in the sign part that holds m, so its
+    claim is one AND of _word_planes, per support element, of the plane
+    that agrees with that part.  _bit_table turns the claims into one flip
+    mask per word, so one step of the walk is a list, and pointer doubling
+    composes it with itself.  Every walk stops within 2^n - 1 flips, so n
+    doublings reach the endpoints and one more must change nothing.
     """
     positions = _positions(M.n, order)
-    key = _element_key(positions)
     planes = _word_planes(M.n)
     by_support = {}
     for t in M.circuit_data + M.cocircuit_data:
         by_support.setdefault(t[0], []).append(t)
+    if positions is None:
+        supports = sorted(by_support, key=_elements_of)
+    else:
+        key = positions.__getitem__
+        supports = sorted(by_support, key=lambda supp: sorted(map(key, _elements_of(supp))))
     claimed = 0
     hits = [0] * M.n
-    for supp in sorted(by_support, key=lambda supp: sorted(map(key, _elements_of(supp)))):
-        positive = 0
-        for t in by_support[supp]:
-            positive |= _positive_words(planes, *t)
-        mine = positive & planes[_min_bit(supp, positions).bit_length() - 1][1] & ~claimed
+    for supp in supports:
+        low = _min_bit(supp, positions)
+        elements = _elements_of(supp)
+        mine = 0
+        for _, pos, neg in by_support[supp]:
+            part = pos if pos & low else neg
+            words = -1
+            for i in elements:
+                words &= planes[i][part >> i & 1]
+            mine |= words
+        mine &= ~claimed
         if mine:
             claimed |= mine
-            for e in _elements_of(supp):
+            for e in elements:
                 hits[e] |= mine
     end = list(map(int.__xor__, range(1 << M.n), _bit_table(hits, M.n)))
     for _ in range(M.n + 1):

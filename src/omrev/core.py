@@ -2,9 +2,10 @@
 
 An oriented matroid on ground set {0, ..., n-1} is stored by its signed
 circuits and signed cocircuits.  A signed set X is a pair of disjoint
-element sets (X+, X-); each circuit or cocircuit is kept once, in the
-canonical orientation that puts the minimum element of the support in the
-positive part, and stands for the pair {X, -X}.
+element sets (X+, X-); each circuit or cocircuit is kept once, as the mask
+triple (supp, pos, neg) of the canonical orientation that puts the
+minimum element of the support in the positive part, and stands for the
+pair {X, -X}.  SignedSet objects are views, made only when asked for.
 
 A reorientation is a plain int A with bit e set iff element e is reversed.
 A stored set X counts as positive in -_A M exactly when A picks out one of
@@ -28,7 +29,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_, or_, xor
 
 MAX_ELEMENTS = 20
@@ -47,7 +48,7 @@ def _mask_of(elements):
     """Bitmask of an element iterable; each element is checked before its shift."""
     m = 0
     for e in elements:
-        if not _is_int(e) or not 0 <= e < MAX_ELEMENTS:
+        if not (type(e) is int or _is_int(e)) or not 0 <= e < MAX_ELEMENTS:
             raise ValueError(
                 "elements must be ints in 0..%d (the hard cap is %d), got %r"
                 % (MAX_ELEMENTS - 1, MAX_ELEMENTS, e)
@@ -85,21 +86,7 @@ class SignedSet:
     __slots__ = ("pos_mask", "neg_mask")
 
     def __init__(self, pos=(), neg=()):
-        pos_mask = pos if isinstance(pos, int) else _mask_of(pos)
-        neg_mask = neg if isinstance(neg, int) else _mask_of(neg)
-        if pos_mask < 0 or neg_mask < 0:
-            raise ValueError("element masks must be nonnegative")
-        if (pos_mask | neg_mask) >> MAX_ELEMENTS:
-            raise ValueError("element masks must lie below bit %d, the hard cap" % MAX_ELEMENTS)
-        if pos_mask & neg_mask:
-            raise ValueError("positive and negative parts overlap")
-        supp = pos_mask | neg_mask
-        if supp == 0:
-            raise ValueError("signed set must be nonempty")
-        if (supp & -supp) & neg_mask:
-            pos_mask, neg_mask = neg_mask, pos_mask
-        self.pos_mask = pos_mask
-        self.neg_mask = neg_mask
+        _, self.pos_mask, self.neg_mask = _signed_triple((pos, neg))
 
     @property
     def support_mask(self) -> int:
@@ -141,11 +128,6 @@ class SignedSet:
         neg = (self.neg_mask & ~A) | (self.pos_mask & A)
         return SignedSet(pos, neg)
 
-    def sort_key(self):
-        # storage order: supports as ascending element tuples, compared
-        # lexicographically; distinct stored sets have distinct supports
-        return tuple(_elements_of(self.support_mask))
-
     def __eq__(self, other):
         if not isinstance(other, SignedSet):
             return NotImplemented
@@ -164,13 +146,52 @@ class SignedSet:
         return {"pos": _elements_of(self.pos_mask), "neg": _elements_of(self.neg_mask)}
 
 
-def _as_signed_set(obj) -> SignedSet:
-    if isinstance(obj, SignedSet):
-        return obj
+def _signed_triple(obj):
+    """The canonical mask triple (supp, pos, neg) of one signed set.
+
+    obj is a SignedSet, a {"pos": ..., "neg": ...} mapping, a (pos, neg)
+    pair or a (supp, pos, neg) triple; each part is an element iterable or
+    a bitmask.  Every form gets the same checks, a triple included: the
+    parts must be nonnegative masks below bit MAX_ELEMENTS, disjoint and
+    not both empty, and a triple's supp must be the int pos | neg.  The
+    canonical form puts the minimum element of the support in pos; a mask
+    triple already in it is returned as given, so a stored triple passed
+    back in is checked without a copy.
+    """
+    supp = None
     if isinstance(obj, dict):
-        return SignedSet(obj.get("pos", ()), obj.get("neg", ()))
-    pos, neg = obj
-    return SignedSet(pos, neg)
+        pos, neg = obj.get("pos", ()), obj.get("neg", ())
+    elif isinstance(obj, SignedSet):
+        pos, neg = obj.pos_mask, obj.neg_mask
+    else:
+        parts = tuple(obj)
+        if len(parts) == 3:
+            supp, pos, neg = parts
+        else:
+            pos, neg = parts
+    pos = pos if isinstance(pos, int) else _mask_of(pos)
+    neg = neg if isinstance(neg, int) else _mask_of(neg)
+    union = pos | neg
+    if pos < 0 or neg < 0:
+        raise ValueError("element masks must be nonnegative")
+    if union >> MAX_ELEMENTS:
+        raise ValueError("element masks must lie below bit %d, the hard cap" % MAX_ELEMENTS)
+    if pos & neg:
+        raise ValueError("positive and negative parts overlap")
+    if union == 0:
+        raise ValueError("signed set must be nonempty")
+    if supp is not None and not (_is_int(supp) and supp == union):
+        raise ValueError("support mask %r is not the union of the sign parts" % (supp,))
+    if union & -union & neg:
+        return union, neg, pos
+    if supp is not None and parts[1:] == (pos, neg):  # given as canonical masks
+        return parts
+    return union, pos, neg
+
+
+def _storage_key(triple):
+    """Storage order: supports as ascending element lists, compared lexicographically."""
+    return _elements_of(triple[0])
 
 
 def _greedy_rank(circuit_supports, subset_mask: int) -> int:
@@ -193,9 +214,16 @@ def _greedy_rank(circuit_supports, subset_mask: int) -> int:
 class OrientedMatroid:
     """Signed circuits and cocircuits on ground set {0, ..., n-1}.
 
+    Each stored set is held once, as the canonical mask triple (supp, pos,
+    neg) of _signed_triple, which checks every entry given here; the
+    triples of each kind sit in circuit_data and cocircuit_data, in
+    storage order: sorted by support as ascending element lists.  The
+    circuits and cocircuits attributes are SignedSet views of them, built
+    on first access.
+
     Immutable after construction (an internal memo for derived partitions
-    does not affect observable state, so concurrent read-only use is safe).
-    Both lists are kept in storage order: sorted by support.
+    and the views do not affect observable state, so concurrent read-only
+    use is safe).
     """
 
     def __init__(self, n, rank, circuits, cocircuits, name=""):
@@ -207,21 +235,24 @@ class OrientedMatroid:
             )
         self.n = n
         self.rank = rank
-        self.circuits = tuple(sorted(circuits, key=SignedSet.sort_key))
-        self.cocircuits = tuple(sorted(cocircuits, key=SignedSet.sort_key))
+        self.circuit_data = tuple(sorted(map(_signed_triple, circuits), key=_storage_key))
+        self.cocircuit_data = tuple(sorted(map(_signed_triple, cocircuits), key=_storage_key))
         self.name = name or "om"
         self.ground_mask = (1 << n) - 1
-        for X in self.circuits + self.cocircuits:
-            if X.support_mask & ~self.ground_mask:
+        for supp, _, _ in self.circuit_data + self.cocircuit_data:
+            if supp & ~self.ground_mask:
                 raise ValueError("signed set mentions an element outside 0..n-1")
-        # flat mask triples for the hot enumeration loops
-        self.circuit_data = tuple(
-            (X.support_mask, X.pos_mask, X.neg_mask) for X in self.circuits
-        )
-        self.cocircuit_data = tuple(
-            (X.support_mask, X.pos_mask, X.neg_mask) for X in self.cocircuits
-        )
         self._cache = {}
+
+    @cached_property
+    def circuits(self) -> tuple:
+        """The stored circuits as SignedSet objects, in storage order."""
+        return tuple(SignedSet(pos, neg) for _, pos, neg in self.circuit_data)
+
+    @cached_property
+    def cocircuits(self) -> tuple:
+        """The stored cocircuits as SignedSet objects, in storage order."""
+        return tuple(SignedSet(pos, neg) for _, pos, neg in self.cocircuit_data)
 
     @property
     def loops_mask(self) -> int:
@@ -252,8 +283,8 @@ class OrientedMatroid:
             return NotImplemented
         return (
             self.n == other.n
-            and self.circuits == other.circuits
-            and self.cocircuits == other.cocircuits
+            and self.circuit_data == other.circuit_data
+            and self.cocircuit_data == other.cocircuit_data
         )
 
     def __repr__(self):
@@ -261,8 +292,8 @@ class OrientedMatroid:
             self.name,
             self.n,
             self.rank,
-            len(self.circuits),
-            len(self.cocircuits),
+            len(self.circuit_data),
+            len(self.cocircuit_data),
         )
 
 
@@ -357,7 +388,7 @@ def _circuits_of_matrix(rows, n):
                 raise InvalidOrientedMatroid("kernel of circuit columns %r lacks full support" % (combo,))
             pos = _mask_of(combo[i] for i in range(size) if w[i] > 0)
             neg = _mask_of(combo[i] for i in range(size) if w[i] < 0)
-            circuits.append(SignedSet(pos, neg))
+            circuits.append((pos, neg))
             supports.append(mask)
     return circuits
 
@@ -452,21 +483,20 @@ def build_uniform(r, n, name=None) -> OrientedMatroid:
 def build_from_signed_sets(circuits, cocircuits, *, n=None, name="signed") -> OrientedMatroid:
     """Oriented matroid from explicit circuit and cocircuit lists.
 
-    Entries may be SignedSet instances, (pos, neg) iterable pairs, or
-    {"pos": [...], "neg": [...]} mappings; exact duplicates (after
-    canonicalization) are dropped.  The ground set size defaults to one
-    past the largest mentioned element.  The result is validated and
-    rejected on any failure; rank is inferred from the circuit list with
-    the greedy rank oracle.
+    Entries may be SignedSet instances, (pos, neg) pairs of element
+    iterables or masks, {"pos": [...], "neg": [...]} mappings, or (supp,
+    pos, neg) mask triples; _signed_triple checks each and turns it into
+    its canonical mask triple, the one form stored, and exact duplicates
+    (after canonicalization) are dropped.  No SignedSet is made.  The
+    ground set size defaults to one past the largest mentioned element.
+    The result is validated and rejected on any failure; rank is inferred
+    from the circuit list with the greedy rank oracle.
     """
-    circ = list(dict.fromkeys(_as_signed_set(x) for x in circuits))
-    cocirc = list(dict.fromkeys(_as_signed_set(x) for x in cocircuits))
+    circ = list(dict.fromkeys(map(_signed_triple, circuits)))
+    cocirc = list(dict.fromkeys(map(_signed_triple, cocircuits)))
     if n is None:
-        top = 0
-        for X in itertools.chain(circ, cocirc):
-            top = max(top, X.support_mask.bit_length())
-        n = top
-    rank = _greedy_rank([X.support_mask for X in circ], (1 << n) - 1)
+        n = max((supp.bit_length() for supp, _, _ in circ + cocirc), default=0)
+    rank = _greedy_rank([supp for supp, _, _ in circ], (1 << n) - 1)
     M = OrientedMatroid(n, rank, circ, cocirc, name)
     report = validate(M)
     if not report.ok:
@@ -484,7 +514,7 @@ class ValidationReport:
     failures: list = field(default_factory=list)
 
 
-def _incomparability_failures(kind, sets):
+def _incomparability_failures(kind, data):
     """The first comparable pair of supports in list order, as a failure line.
 
     Distinct supports of equal size are never comparable, so when all
@@ -492,7 +522,7 @@ def _incomparability_failures(kind, sets):
     test.  The pairwise scan in list order runs only once such a test (or a
     repeated support) has shown that a comparable pair exists.
     """
-    supports = [X.support_mask for X in sets]
+    supports = [supp for supp, _, _ in data]
     if len(set(supports)) == len(supports):
         by_size = {}
         for s in supports:
@@ -505,13 +535,11 @@ def _incomparability_failures(kind, sets):
             larger += group
         else:
             return []
-    for i, X in enumerate(sets):
-        for Y in sets[i + 1 :]:
-            a, b = X.support_mask, Y.support_mask
+    for i, a in enumerate(supports):
+        for j, b in enumerate(supports[i + 1 :], i + 1):
             if a & b == a or a & b == b:
-                return [
-                    "%s supports are comparable: %r vs %r" % (kind, X, Y)
-                ]
+                X, Y = (SignedSet(*data[k][1:]) for k in (i, j))
+                return ["%s supports are comparable: %r vs %r" % (kind, X, Y)]
     return []
 
 
@@ -522,18 +550,15 @@ def _orthogonality_failures(M):
     X and Y are orthogonal when their signs agree somewhere on the common
     support iff they differ somewhere.  Per element, bitsets over the
     cocircuit list mark the cocircuits holding it positively and
-    negatively; ORed over a circuit's signed elements they give the
-    cocircuits that agree with it somewhere and those that differ, and the
-    pairs that fail are in exactly one of the two.
+    negatively (the positive and the negative parts read as tables and
+    transposed by _table_planes); ORed over a circuit's signed elements
+    they give the cocircuits that agree with it somewhere and those that
+    differ, and the pairs that fail are in exactly one of the two.
     """
-    positive = [0] * M.n
-    negative = [0] * M.n
-    for i, (_, pos, neg) in enumerate(M.cocircuit_data):
-        for e in _elements_of(pos):
-            positive[e] |= 1 << i
-        for e in _elements_of(neg):
-            negative[e] |= 1 << i
-    for X, (_, pos, neg) in zip(M.circuits, M.circuit_data):
+    positive, negative = (
+        _table_planes([t[i] for t in M.cocircuit_data], M.n) for i in (1, 2)
+    )
+    for _, pos, neg in M.circuit_data:
         agree = differ = 0
         for e in _elements_of(pos):
             agree |= positive[e]
@@ -543,7 +568,8 @@ def _orthogonality_failures(M):
             differ |= positive[e]
         bad = agree ^ differ
         if bad:
-            Y = M.cocircuits[(bad & -bad).bit_length() - 1]
+            X = SignedSet(pos, neg)
+            Y = SignedSet(*M.cocircuit_data[(bad & -bad).bit_length() - 1][1:])
             return ["orthogonality fails for circuit %r and cocircuit %r" % (X, Y)]
     return []
 
@@ -551,19 +577,20 @@ def _orthogonality_failures(M):
 def validate(M: OrientedMatroid) -> ValidationReport:
     """Check the stored lists against the cross-set invariants.
 
-    The per-set invariants are held by the constructors: SignedSet rejects
-    overlapping sign parts and an empty support and stores the canonical
-    form, and OrientedMatroid rejects a set with an element outside
-    0..n-1.  validate checks what relates sets to each other: support
-    incomparability within each list, circuit/cocircuit sign
-    orthogonality, rank duality between the two lists and the stored
-    rank, and that every reorientation splits the ground set into its
-    acyclic and cyclic parts (Bjorner et al., Oriented Matroids, section
-    3.4).  Each failed check reports its first counterexample; the tiling
-    check, which reads every word, runs only once the others pass.
+    The per-set invariants are held by the constructor: OrientedMatroid
+    runs every entry through _signed_triple, which rejects overlapping
+    sign parts and an empty support and stores the canonical form, and
+    rejects a set with an element outside 0..n-1.  validate checks what
+    relates sets to each other: support incomparability within each list,
+    circuit/cocircuit sign orthogonality, rank duality between the two
+    lists and the stored rank, and that every reorientation splits the
+    ground set into its acyclic and cyclic parts (Bjorner et al., Oriented
+    Matroids, section 3.4).  Each failed check reports its first
+    counterexample; the tiling check, which reads every word, runs only
+    once the others pass.
     """
-    failures = _incomparability_failures("circuit", M.circuits)
-    failures += _incomparability_failures("cocircuit", M.cocircuits)
+    failures = _incomparability_failures("circuit", M.circuit_data)
+    failures += _incomparability_failures("cocircuit", M.cocircuit_data)
     failures += _orthogonality_failures(M)
 
     circ_rank = _greedy_rank([s for s, _, _ in M.circuit_data], M.ground_mask)
@@ -684,7 +711,7 @@ def _cube(M, positions=None):
 def dual(M: OrientedMatroid) -> OrientedMatroid:
     """The dual oriented matroid: circuit and cocircuit lists swapped."""
     return OrientedMatroid(
-        M.n, M.n - M.rank, M.cocircuits, M.circuits, name="dual(%s)" % M.name
+        M.n, M.n - M.rank, M.cocircuit_data, M.circuit_data, name="dual(%s)" % M.name
     )
 
 
@@ -697,13 +724,10 @@ def _check_reorientation(M, A):
 def positive_sets(M: OrientedMatroid, A: int, kind: str):
     """Stored sets of one kind that are positive in -_A M, in storage order."""
     _check_reorientation(M, A)
-    if kind == "circuit":
-        sets = M.circuits
-    elif kind == "cocircuit":
-        sets = M.cocircuits
-    else:
+    if kind not in ("circuit", "cocircuit"):
         raise ValueError("kind must be 'circuit' or 'cocircuit', got %r" % (kind,))
-    return [X for X in sets if X.is_positive_in(A)]
+    data = M.circuit_data if kind == "circuit" else M.cocircuit_data
+    return [SignedSet(pos, neg) for _, pos, neg in _positive(data, A)]
 
 
 def _positive(data, A):
@@ -728,12 +752,18 @@ def _by_top(data, n):
     return groups
 
 
+@lru_cache(maxsize=None)
 def _word_planes(n):
     """(~P, P) for each element i < n, where P is a bitset over the 2^n words.
 
     Bit A of P is set iff word A holds element i, and ~P is its complement
     within the 2^n words.  P runs of 2^i clear bits then 2^i set bits, so
     it is one byte pattern repeated (one fixed byte for i < 3).
+
+    Built once per n and shared, as a tuple, by every reader and every
+    forest stage.  The cache keeps n * 2^(n+1) bits for each n requested;
+    traced, that is 274 KiB at n = 16, 520 KiB for every n up to 16
+    together and 10.1 MiB for every n up to the cap of 20.
     """
     size = 1 << n
     full = (1 << size) - 1
@@ -745,7 +775,7 @@ def _word_planes(n):
             pattern = bytes(1 << (i - 3)) + b"\xff" * (1 << (i - 3))
         P = int.from_bytes(pattern * max(1, size // (8 * len(pattern))), "little") & full
         planes.append((full ^ P, P))
-    return planes
+    return tuple(planes)
 
 
 def _positive_words(planes, supp, pos, neg):
@@ -756,7 +786,7 @@ def _positive_words(planes, supp, pos, neg):
     neg; on those A ^ supp = A - neg + pos, so S shifted by pos - neg holds
     the words with A & supp == pos.  S starts from -1, every bit set, not
     from a 2^n-bit all-ones temporary: a stored support is never empty
-    (SignedSet rejects one), so the first plane ANDed in brings S within
+    (_signed_triple rejects one), so the first plane ANDed in brings S within
     the 2^n words.
     """
     S = -1
@@ -808,7 +838,12 @@ def _bit_table(hits, n):
 
 def _table_planes(table, n):
     """The reverse of _bit_table: per e < n, the bitset of the entries with
-    bit e set, from their bytes of e's lane translated to binary digits."""
+    bit e set, from their bytes of e's lane translated to binary digits.
+
+    The table may have any length; an empty one gives n empty bitsets.
+    """
+    if not table:
+        return [0] * n
     buf = array("Q", table).tobytes()
     return [
         int(buf[_lane_byte(e)::_TABLE_ITEM].translate(_LANE_DIGITS[e % 8])[::-1], 2)

@@ -267,7 +267,10 @@ def _restrict(M, rep_of, restriction):
             "reversal class of %d mixes %s and other words of %s: a reversal "
             "leaves the admitted set" % (rep, restriction, M.name)
         )
-    return [rep if a else -1 for rep, a in zip(rep_of, admitted)], len(kept)
+    table = [-1] * size  # each kept class's minimum maps to itself, all else to -1
+    for rep in kept:
+        table[rep] = rep
+    return list(map(table.__getitem__, rep_of)), len(kept)
 
 
 def reversal_classes(M, mode: str = "both", restriction: str = "all") -> ReversalPartition:

@@ -25,13 +25,16 @@ orthogonality_ref compares every circuit with every cocircuit; they pin
 the bitset checks in validate, on any lists.
 elements_of_ref peels a mask's lowest set bit once per loop pass; it pins
 the byte-lane table in core._elements_of.
+is_binary_ref tests every circuit/cocircuit support pair for an even
+intersection, in storage order; it pins the per-element parity bitsets in
+regularity.is_binary, verdict and witness, on any lists.
 """
 
 from array import array
 from fractions import Fraction
 from math import comb
 
-from omrev import InvalidOrientedMatroid, TuttePolynomial
+from omrev import InvalidOrientedMatroid, RegularityVerdict, TuttePolynomial
 from omrev.activity import ActivityClasses, _positions
 from omrev.core import _by_top, _check_reorientation, _element_key, _elements_of, _min_bit, _positive
 
@@ -231,6 +234,16 @@ def orthogonality_ref(M):
             if len(signs) == 1:
                 return X, Y
     return None
+
+
+def is_binary_ref(M):
+    """The even-intersection scan over all circuit/cocircuit support pairs:
+    the first odd pair in storage order is the witness."""
+    for X in M.circuits:
+        for Y in M.cocircuits:
+            if (X.support_mask & Y.support_mask).bit_count() % 2:
+                return RegularityVerdict(False, (X.support, Y.support))
+    return RegularityVerdict(True, None)
 
 
 def minimum_under(elements, order):

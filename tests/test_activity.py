@@ -337,6 +337,18 @@ class TestGreedyMinimalize:
                     B = greedy_minimalize(M, A, order)
                     assert B == greedy_minimalize_ref(M, A, order) == ends[A]
 
+    def test_ends_match_the_per_word_walk_on_u38(self):
+        # each set claims one AND of planes, of the part holding its
+        # order-minimum; every word's walk checks the claims
+        for M in (build_uniform(3, 8), dual(build_uniform(3, 8))):
+            shuffled = _shuffled_orders(M.n, 1, seed=8)[0]
+            for order in (None, tuple(range(M.n))[::-1], shuffled):
+                ends = greedy_ends(M, order)
+                assert ends == [greedy_minimalize(M, A, order) for A in range(1 << M.n)], (
+                    M.name,
+                    order,
+                )
+
     def test_ends_match_the_walk_at_n9_and_n10(self):
         K5 = build_from_graph([(i, j) for i in range(5) for j in range(i + 1, 5)], name="K5")
         for M, order in ((build_uniform(3, 9), None), (K5, _shuffled_orders(10, 1, seed=5)[0])):

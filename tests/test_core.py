@@ -1,6 +1,9 @@
 import ast
+import gc
+import io
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -516,10 +519,164 @@ class TestBitsetChecksAgainstScans:
         assert rejected > 0
 
 
+def _mixed_forms(sets, rng):
+    """The sets of a SignedSet tuple as a shuffled input list that repeats
+    some of them, negates some and mixes every accepted entry form."""
+    forms = (
+        lambda X: X,
+        lambda X: X.to_json_dict(),
+        lambda X: (sorted(X.neg), sorted(X.pos)),  # -X, the same stored set
+        lambda X: (X.pos_mask, X.neg_mask),
+        lambda X: (X.support_mask, X.pos_mask, X.neg_mask),
+        lambda X: (X.support_mask, X.neg_mask, X.pos_mask),  # a triple of -X
+    )
+    out = [rng.choice(forms)(X) for X in sets for _ in range(rng.choice((1, 1, 2)))]
+    rng.shuffle(out)
+    return out
+
+
+def _eager(entries):
+    """The SignedSet tuple the constructor stored before the triples were
+    the stored form: each entry as a SignedSet, exact duplicates dropped,
+    sorted by support as an ascending element list."""
+    as_set = {
+        dict: lambda x: SignedSet(x.get("pos", ()), x.get("neg", ())),
+        SignedSet: lambda x: x,
+    }
+    sets = (as_set.get(type(x), lambda x: SignedSet(*x[-2:]))(x) for x in entries)
+    return tuple(sorted(dict.fromkeys(sets), key=lambda X: sorted(X.support)))
+
+
+# (case, entry, its JSON form or None, n, the message every path keeps)
+REJECTED_SETS = (
+    ("bool element", ((True,), ()), {"pos": [True]}, MAX_ELEMENTS,
+     "elements must be ints in 0..19 (the hard cap is 20), got True"),
+    ("element past the cap", ((0, 20), ()), {"pos": [0, 20]}, MAX_ELEMENTS,
+     "elements must be ints in 0..19 (the hard cap is 20), got 20"),
+    ("negative element", ((-1,), ()), {"neg": [-1]}, MAX_ELEMENTS,
+     "elements must be ints in 0..19 (the hard cap is 20), got -1"),
+    ("negative mask", (-1, 0), None, MAX_ELEMENTS, "element masks must be nonnegative"),
+    ("mask past the cap", (0, 1 << 20), None, MAX_ELEMENTS,
+     "element masks must lie below bit 20, the hard cap"),
+    ("overlapping parts", ((0, 1), (1,)), {"pos": [0, 1], "neg": [1]}, MAX_ELEMENTS,
+     "positive and negative parts overlap"),
+    ("empty set", ((), ()), {}, MAX_ELEMENTS, "signed set must be nonempty"),
+    ("element outside the ground set", ((0, 3), ()), None, 3,
+     "signed set mentions an element outside 0..n-1"),
+    ("support other than pos | neg", (0b111, 0b001, 0b010), None, MAX_ELEMENTS,
+     "support mask 7 is not the union of the sign parts"),
+)
+
+
+class TestStorage:
+    """Each stored set is one canonical mask triple; circuits and
+    cocircuits are SignedSet views of the triples."""
+
+    def test_views_equal_the_eager_construction(self):
+        from test_activity import _catalog_and_duals
+
+        rng = random.Random(21)
+        for M in _catalog_and_duals():
+            circuits, cocircuits = _mixed_forms(M.circuits, rng), _mixed_forms(M.cocircuits, rng)
+            N = build_from_signed_sets(circuits, cocircuits, n=M.n, name=M.name)
+            assert "circuits" not in vars(N) and "cocircuits" not in vars(N), M.name
+            assert (N.circuits, N.cocircuits) == (_eager(circuits), _eager(cocircuits)), M.name
+            assert (N.circuits, N.cocircuits) == (M.circuits, M.cocircuits), M.name
+            for sets, data in ((N.circuits, N.circuit_data), (N.cocircuits, N.cocircuit_data)):
+                assert data == tuple((X.support_mask, X.pos_mask, X.neg_mask) for X in sets)
+            assert N.circuits is N.circuits and N == M, M.name
+
+    def test_shuffled_signed_source_with_duplicates(self, tmp_path):
+        M = build_uniform(3, 7)
+        rng = random.Random(5)
+        lists = [
+            [X.to_json_dict() for X in sets for _ in range(rng.choice((1, 2)))]
+            for sets in (M.circuits, M.cocircuits)
+        ]
+        for sets in lists:
+            rng.shuffle(sets)
+        path = tmp_path / "u37.json"
+        signed = dict(zip(("circuits", "cocircuits"), lists))
+        path.write_text(json.dumps({"source": {"signed": signed}}))
+        N = load_instance_file(str(path))
+        assert (N.circuits, N.cocircuits) == (_eager(lists[0]), _eager(lists[1])) == (
+            M.circuits,
+            M.cocircuits,
+        )
+        assert (N.circuit_data, N.cocircuit_data) == (M.circuit_data, M.cocircuit_data)
+
+    @pytest.mark.parametrize("case, entry, as_json, n, message", REJECTED_SETS)
+    def test_each_path_keeps_the_rejection_message(
+        self, tmp_path, case, entry, as_json, n, message
+    ):
+        for build in (
+            lambda: build_from_signed_sets([entry], [], n=n),
+            lambda: build_from_signed_sets([], [entry], n=n),
+            lambda: OrientedMatroid(n, 0, [entry], []),
+            lambda: OrientedMatroid(n, 0, [], [entry]),
+        ):
+            with pytest.raises(ValueError) as caught:
+                build()
+            assert str(caught.value) == message, case
+        if as_json is not None:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({"source": {"signed": {"circuits": [as_json]}}}))
+            with pytest.raises(ValueError) as caught:
+                load_instance_file(str(path))
+            assert str(caught.value) == message, case
+
+    @pytest.mark.parametrize("name", ["k4", "u24"])
+    def test_analysis_and_verify_build_no_view(self, name):
+        from omrev import get_entry
+        from omrev.catalog import CatalogEntry
+        from omrev.cli import analyze_instance, cmd_verify
+
+        E = get_entry(name)
+        M = E.build()
+        source = {
+            "signed": {
+                "circuits": [X.to_json_dict() for X in M.circuits],
+                "cocircuits": [X.to_json_dict() for X in M.cocircuits],
+            }
+        }
+        built = []
+
+        def build():
+            built.append(instance_from_dict({"name": name, "source": source}))
+            return built[-1]
+
+        analyze_instance(build())
+        entry = CatalogEntry(name, "signed copy", E.tags, E.expected, build)
+        assert cmd_verify(entries=[entry], stream=io.StringIO()) == 0
+        for M in built:
+            assert not {"circuits", "cocircuits"} & vars(M).keys(), name
+
+    def test_memory_peak_of_a_signed_build_at_sixteen_elements(self):
+        # one triple per stored set and no SignedSet: 1.39 MB here, 2.09 MB
+        # when each set was also a SignedSet.  The word planes are a shared
+        # cache built once per n (274 KiB at n = 16), warmed first so the
+        # figure is the build's own; collecting empties the free lists, so
+        # every allocation of the build is traced
+        U = build_uniform(4, 16)
+        lists = [[X.to_json_dict() for X in sets] for sets in (U.circuits, U.cocircuits)]
+        del U
+        core._word_planes(16)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            build_from_signed_sets(*lists)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6e6, peak
+
+
 class TestWordsByMinimum:
     """core._words_by_minimum, the one pass over the stored sets of a kind."""
 
-    def test_positive_words_has_two_callers(self):
+    def test_positive_words_has_one_caller(self):
+        # greedy_ends ANDs the planes of the part holding each set's
+        # order-minimum itself, so only the by-minimum pass calls it
         callers = []
         for path in sorted(Path(core.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -531,7 +688,7 @@ class TestWordsByMinimum:
                         and getattr(call.func, "id", getattr(call.func, "attr", None))
                         == "_positive_words"
                     ]
-        assert sorted(callers) == ["_words_by_minimum", "greedy_ends"]
+        assert callers == ["_words_by_minimum"]
 
     def test_each_set_once_in_descending_minimum_groups(self):
         from test_activity import _catalog_and_duals  # test_activity imports this module

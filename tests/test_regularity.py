@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 from omrev import (
@@ -10,6 +13,8 @@ from omrev import (
     get_instance,
     is_binary,
 )
+from oracles import is_binary_ref
+from test_core import _unvalidated_lists, _unvalidated_om
 
 
 class TestCatalogVerdicts:
@@ -84,3 +89,42 @@ class TestGraphicAlwaysRegular:
         for X in M.circuits:
             for Y in M.cocircuits:
                 assert len(X.support & Y.support) % 2 == 0
+
+
+def _bench_bases():
+    """The graph bases of the benchmark and its uniform bases, with duals."""
+    from test_activity import _bench_instance
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("bench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    uniform = ["U(%d,%d)" % (r, k) for k in range(8, 11) for r in range(2, k - 1)]
+    uniform += ["U(2,11)", "U(3,11)", "U(3,14)"]
+    bases = list(module.GRAPHS) + uniform + ["dual " + base for base in uniform]
+    return [_bench_instance(base, 5) for base in bases]
+
+
+class TestParityBitsets:
+    """is_binary's per-element parity bitsets against the pairwise scan."""
+
+    def test_catalog_and_duals(self):
+        for entry in catalog_instances():
+            M = entry.build()
+            for N in (M, dual(M)):
+                assert is_binary(N) == is_binary_ref(N), N.name
+
+    def test_bench_graph_and_uniform_bases(self):
+        verdicts = set()
+        for M in _bench_bases():
+            verdict = is_binary(M)
+            assert verdict == is_binary_ref(M), M.name
+            verdicts.add(verdict.regular)
+        assert verdicts == {True, False}
+
+    @settings(max_examples=80, deadline=None)
+    @given(_unvalidated_lists(10))
+    def test_signed_lists(self, case):
+        M = _unvalidated_om(case)
+        assert is_binary(M) == is_binary_ref(M)
+        assert is_binary(dual(M)) == is_binary_ref(dual(M))
