@@ -8,6 +8,17 @@ class for even k and two for odd k, U(r,n) with a 4-point-line minor is
 not regular), "oracle" for numbers computed by the exhaustive oracles in
 this package and frozen on their first run.
 
+FAMILIES maps each survey family name to a function of max_n that returns
+its entries, built the same way as the catalog's:
+
+    catalog-nonregular   the catalog entries tagged non-regular (max_n unused)
+    u2k                  U(2,k) for k = 3..max_n, 3 <= max_n <= 16
+
+The u2k claims are literature facts: U(2,3) is regular (r = n - 1, so it
+is binary), every U(2,k) with k >= 4 has a 4-point-line minor and is not,
+and U(2,k) has one acyclic cocircuit reversal class for even k and two
+for odd k.
+
 The five-tuples follow the setting order of tutte.SETTINGS, the order of
 the Tutte evaluations at the settings' points.
 """
@@ -190,20 +201,44 @@ _DEFS = (
 )
 
 
+def _entry(name, description, factory, tags, expected):
+    return CatalogEntry(
+        name=name,
+        description=description,
+        tags=frozenset(tags),
+        expected=dict(expected),
+        factory=lambda: factory(name),
+    )
+
+
 def catalog_instances():
     """All catalog entries, in the fixed listing order."""
-    out = []
-    for name, desc, factory, tags, expected in _DEFS:
-        out.append(
-            CatalogEntry(
-                name=name,
-                description=desc,
-                tags=frozenset(tags),
-                expected=dict(expected),
-                factory=lambda factory=factory, name=name: factory(name),
-            )
+    return [_entry(*definition) for definition in _DEFS]
+
+
+def _u2k(max_n):
+    """U(2,k) for k = 3..max_n, each with its literature claims."""
+    if not 3 <= max_n <= 16:
+        raise ValueError("u2k survey needs 3 <= max-n <= 16, got %r" % (max_n,))
+    # U(2,3) is binary (r = n - 1); every U(2,k) with k >= 4 is not
+    return [
+        _entry(
+            "U(2,%d)" % k,
+            "uniform U(2,%d)" % k,
+            _uniform(2, k),
+            ("regular" if k == 3 else "non-regular", "loopless-coloopless", "uniform"),
+            {} if k == 3 else {"acyclic_cocircuit_classes": Expected(1 + k % 2, "literature")},
         )
-    return out
+        for k in range(3, max_n + 1)
+    ]
+
+
+FAMILIES = {
+    "catalog-nonregular": lambda max_n: [
+        e for e in catalog_instances() if "non-regular" in e.tags
+    ],
+    "u2k": _u2k,
+}
 
 
 def get_entry(name: str) -> CatalogEntry:

@@ -28,7 +28,7 @@ from .activity import (
     is_minimal,
     minimal_counts,
 )
-from .core import InvalidOrientedMatroid, OrientedMatroid, _cube, build_uniform, load_instance_file
+from .core import InvalidOrientedMatroid, OrientedMatroid, _cube, load_instance_file
 from .regularity import RegularityVerdict, classify, is_binary
 from .reversal import (
     find_minimal_pair_in_class,
@@ -227,13 +227,17 @@ class VerificationFailure(AssertionError):
     pass
 
 
-def _verify_entry(entry, stream):
+def _verify_entry(entry):
     """All assertions for one catalog entry; raises VerificationFailure.
 
     Checks the tags and expected tables, the minimal counts against the
     Tutte evaluations, the class counts against them (equal iff regular),
     and that the greedy walk from every word ends at a minimal word of its
-    circuit-cocircuit class, at every n.
+    circuit-cocircuit class, at every n.  This is the one per-instance
+    checker: verify and survey both run every entry through it.
+
+    Returns (M, evaluations, class counts, regular, checks passed), the
+    five-tuples in the setting order of tutte.SETTINGS.
     """
 
     checked = 0
@@ -330,7 +334,7 @@ def _verify_entry(entry, stream):
         detail = "A=%d gave B=%d" % (A, ends[A])
     check("greedy walk reaches a minimal reorientation of the same class", walked, detail)
 
-    print("ok %-18s %2d assertions" % (entry.name, checked), file=stream)
+    return M, evals, counts, fresh == "regular", checked
 
 
 def cmd_verify(scope="all", entries=None, stream=None) -> int:
@@ -349,7 +353,8 @@ def cmd_verify(scope="all", entries=None, stream=None) -> int:
         entries = [e for e in entries if "non-regular" in e.tags]
     try:
         for entry in entries:
-            _verify_entry(entry, stream)
+            checked = _verify_entry(entry)[-1]
+            print("ok %-18s %2d assertions" % (entry.name, checked), file=stream)
     except VerificationFailure as exc:
         print("FAIL %s" % exc, file=stream)
         return 2
@@ -362,52 +367,34 @@ def cmd_verify(scope="all", entries=None, stream=None) -> int:
 
 
 def _survey_rows(family, max_n):
-    if family == "u2k":
-        if not 3 <= max_n <= 16:
-            raise ValueError("u2k survey needs 3 <= max-n <= 16, got %r" % (max_n,))
-        builds = [
-            (lambda k=k: build_uniform(2, k, name="U(2,%d)" % k))
-            for k in range(3, max_n + 1)
-        ]
-    elif family == "catalog-nonregular":
-        builds = [
-            e.build
-            for e in _catalog.catalog_instances()
-            if "non-regular" in e.tags
-        ]
-    else:
-        raise ValueError("family must be u2k or catalog-nonregular, got %r" % (family,))
+    """Rows of bases over circuit-cocircuit classes, one per family entry.
 
+    The entries are catalog.FAMILIES[family](max_n).  Each row is a view
+    over _verify_entry's result, so every entry passes all of verify's
+    checks first (a failed one raises VerificationFailure); those checks
+    make a regular row's ratio exactly 1 and a non-regular one's above 1.
+    Returns the rows and the least ratio over the non-regular rows, or None.
+    """
+    if family not in _catalog.FAMILIES:
+        raise ValueError(
+            "family must be %s, got %r" % (" or ".join(sorted(_catalog.FAMILIES)), family)
+        )
     rows = []
     running_min = None
-    for build in builds:
-        M = build()
-        bases = tutte_polynomial(M).evaluate(1, 1)
-        classes = reversal_classes(M, "both", "all").class_count
-        ratio = Fraction(bases, classes)
-        regular = classify(M) == "regular"
-        if regular:
-            note = "regular - excluded from minimum"
-            if ratio != 1:
-                raise VerificationFailure(
-                    "%s: regular instance must have ratio exactly 1, got %s" % (M.name, ratio)
-                )
-        else:
-            note = ""
-            if ratio <= 1:
-                raise VerificationFailure(
-                    "%s: non-regular instance must have ratio > 1, got %s" % (M.name, ratio)
-                )
+    for entry in _catalog.FAMILIES[family](max_n):
+        M, evals, counts, regular, _ = _verify_entry(entry)
+        ratio = Fraction(evals[0], counts[0])
+        if not regular:
             running_min = ratio if running_min is None else min(running_min, ratio)
         rows.append(
             {
                 "name": M.name,
                 "n": M.n,
-                "bases": bases,
-                "classes": classes,
+                "bases": evals[0],
+                "classes": counts[0],
                 "ratio": str(ratio),
                 "min_ratio": str(running_min) if running_min is not None else "",
-                "note": note,
+                "note": "regular - excluded from minimum" if regular else "",
             }
         )
     return rows, running_min
@@ -537,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=lambda a: cmd_verify(a.scope))
 
     p = sub.add_parser("survey", help="bases vs class-count ratios")
-    p.add_argument("--family", choices=("u2k", "catalog-nonregular"), default="catalog-nonregular")
+    p.add_argument("--family", choices=sorted(_catalog.FAMILIES), default="catalog-nonregular")
     p.add_argument("--max-n", type=int, default=8, dest="max_n",
                    help="largest k for the u2k family (3..16)")
     p.add_argument("--out", choices=("csv", "json", "table"), default="table")

@@ -151,12 +151,12 @@ def _signed_triple(obj):
 
     obj is a SignedSet, a {"pos": ..., "neg": ...} mapping, a (pos, neg)
     pair or a (supp, pos, neg) triple; each part is an element iterable or
-    a bitmask.  Every form gets the same checks, a triple included: the
-    parts must be nonnegative masks below bit MAX_ELEMENTS, disjoint and
-    not both empty, and a triple's supp must be the int pos | neg.  The
-    canonical form puts the minimum element of the support in pos; a mask
-    triple already in it is returned as given, so a stored triple passed
-    back in is checked without a copy.
+    an int bitmask, and a bool is neither.  Every form gets the same checks,
+    a triple included: the parts must be nonnegative masks below bit
+    MAX_ELEMENTS, disjoint and not both empty, and a triple's supp must be
+    the int pos | neg.  The canonical form puts the minimum element of the
+    support in pos; a mask triple already in it is returned as given, so a
+    stored triple passed back in is checked without a copy.
     """
     supp = None
     if isinstance(obj, dict):
@@ -169,8 +169,14 @@ def _signed_triple(obj):
             supp, pos, neg = parts
         else:
             pos, neg = parts
-    pos = pos if isinstance(pos, int) else _mask_of(pos)
-    neg = neg if isinstance(neg, int) else _mask_of(neg)
+    try:
+        pos = pos if type(pos) is int or _is_int(pos) else _mask_of(pos)
+        neg = neg if type(neg) is int or _is_int(neg) else _mask_of(neg)
+    except TypeError:  # a part that is neither an int nor iterable
+        bad = neg if _is_int(pos) else pos
+        raise ValueError(
+            "a sign part must be an int mask or an element list, got %r" % (bad,)
+        ) from None
     union = pos | neg
     if pos < 0 or neg < 0:
         raise ValueError("element masks must be nonnegative")
@@ -190,8 +196,13 @@ def _signed_triple(obj):
 
 
 def _storage_key(triple):
-    """Storage order: supports as ascending element lists, compared lexicographically."""
-    return _elements_of(triple[0])
+    """Storage order: supports as ascending element lists, compared lexicographically.
+
+    The key holds the elements as bytes, which compare as the lists do
+    (every element is below 256, and a prefix sorts first) but take less
+    memory while a whole kind is being sorted.
+    """
+    return bytes(_elements_of(triple[0]))
 
 
 def _greedy_rank(circuit_supports, subset_mask: int) -> int:
@@ -717,7 +728,7 @@ def dual(M: OrientedMatroid) -> OrientedMatroid:
 
 def _check_reorientation(M, A):
     """Reject A unless it is an n-bit word; M is anything with a ground-set size n."""
-    if not isinstance(A, int) or A < 0 or A >> M.n:
+    if not _is_int(A) or A < 0 or A >> M.n:
         raise ValueError("reorientation %r is not an n-bit word for n=%d" % (A, M.n))
 
 

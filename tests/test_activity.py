@@ -524,11 +524,17 @@ class TestActivityClasses:
         with pytest.raises(ValueError, match=r"ceil\(log2 n\) bits; n=17 needs 85 > 64"):
             activity_classes(big)
 
-    @pytest.mark.parametrize("A", [-1, -8, 8, 1 << 9])
+    @pytest.mark.parametrize("A", [-1, -8, 8, 1 << 9, True])
     def test_class_of_rejects_words_outside_the_cube(self, A):
         AC = activity_classes(get_instance("tri"))
-        with pytest.raises(ValueError, match="reorientation %d is not an n-bit word for n=3" % A):
+        with pytest.raises(ValueError, match="reorientation %r is not an n-bit word for n=3" % A):
             AC.class_of(A)
+
+    @pytest.mark.parametrize("A", [-1, 8, True])
+    @pytest.mark.parametrize("query", [activities, is_minimal, greedy_minimalize])
+    def test_one_word_queries_reject_words_outside_the_cube(self, query, A):
+        with pytest.raises(ValueError, match="reorientation %r is not an n-bit word for n=3" % A):
+            query(get_instance("tri"), A)
 
 
 class TestTutteViaActivities:

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import io
 import itertools
 import json
@@ -23,7 +25,7 @@ from omrev import (
     tutte_polynomial,
 )
 from omrev import cli
-from omrev.catalog import CatalogEntry, Expected
+from omrev.catalog import FAMILIES, CatalogEntry, Expected
 from omrev.cli import (
     analyze_instance,
     cmd_analyze,
@@ -36,6 +38,25 @@ from omrev.cli import (
 
 TRIANGLE = [[1, 0, 1], [0, 1, 1]]
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _callers(name):
+    """The top-level function or class of each call to name in the package,
+    "<module>" for a call outside both."""
+    callers = []
+    for path in sorted(Path(omrev.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner.update((call, node.name) for call in ast.walk(node))
+        callers += [
+            owner.get(call, "<module>")
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", getattr(call.func, "attr", None)) == name
+        ]
+    return callers
 
 
 def _run(fn, *args, **kwargs):
@@ -436,20 +457,101 @@ class TestSurvey:
     @pytest.mark.parametrize(
         "family, max_n, classes, message",
         [
-            ("u2k", 3, 1, "U(2,3): regular instance must have ratio exactly 1, got 3"),
-            ("catalog-nonregular", 8, 10**6, "non-regular instance must have ratio > 1"),
+            (
+                "u2k",
+                3,
+                1,
+                "FAIL U(2,3): regular instance: class counts equal the Tutte evaluations "
+                "(evals (3, 4, 7, 2, 1), classes (1, 1, 1, 1, 1))\n",
+            ),
+            (
+                "catalog-nonregular",
+                8,
+                10**6,
+                "FAIL u24: expected reversal_counts table matches (expected (2, 9, 9, 1, 1) "
+                "got (1000000, 1000000, 1000000, 1000000, 1000000))\n",
+            ),
         ],
+        ids=["u2k", "catalog-nonregular"],
     )
     def test_impossible_ratio_fails(self, monkeypatch, family, max_n, classes, message):
+        # survey rows go through verify's checks and fail with its FAIL line
         partition = SimpleNamespace(class_count=classes)
         monkeypatch.setattr(cli, "reversal_classes", lambda M, mode, restriction: partition)
         code, text = _run(cmd_survey, family=family, max_n=max_n)
+        assert (code, text) == (2, message)
+
+    def test_wrong_acyclic_cocircuit_count_fails_u2k(self, monkeypatch):
+        # from U(2,4) on, one acyclic cocircuit class too many still leaves a
+        # strict gap, so only the entry's literature count can catch it
+        real = cli.reversal_classes
+
+        def off_by_one(M, mode, restriction):
+            P = real(M, mode, restriction)
+            if (mode, restriction) != ("cocircuit", "acyclic") or M.n < 4:
+                return P
+            return SimpleNamespace(class_count=P.class_count + 1, rep_of=P.rep_of)
+
+        monkeypatch.setattr(cli, "reversal_classes", off_by_one)
+        code, text = _run(cmd_survey, family="u2k", max_n=6)
         assert code == 2
-        assert text.startswith("FAIL ") and message in text
+        assert text == (
+            "FAIL U(2,4): expected acyclic cocircuit class count matches (expected 1 got 2)\n"
+        )
+
+    @pytest.mark.parametrize("family, max_n", [("u2k", 10), ("catalog-nonregular", 8)])
+    def test_rows_are_views_over_verify(self, family, max_n):
+        rows, _ = cli._survey_rows(family, max_n)
+        entries = FAMILIES[family](max_n)
+        assert [row["name"] for row in rows] == [entry.name for entry in entries]
+        for row, entry in zip(rows, entries):
+            M, evals, counts, regular, _ = cli._verify_entry(entry)
+            assert (row["n"], row["bases"], row["classes"]) == (M.n, evals[0], counts[0])
+            assert (row["note"] != "") == regular
+
+    def test_u2k_entries_state_their_claims(self):
+        for entry in FAMILIES["u2k"](16):
+            k = entry.build().n
+            assert entry.name == "U(2,%d)" % k
+            assert ("regular" in entry.tags) == (k == 3)
+            assert ("non-regular" in entry.tags) == (k > 3)
+            count = entry.expected.get("acyclic_cocircuit_classes")
+            assert (count is None) if k == 3 else count.value == 1 + k % 2
+
+    def test_unknown_family_is_an_input_error(self):
+        with pytest.raises(ValueError, match="family must be catalog-nonregular or u2k, got 'k4'"):
+            cli._survey_rows("k4", 8)
 
     def test_bad_max_n_exits_1(self, capsys):
         assert main(["survey", "--family", "u2k", "--max-n", "2"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestOneChecker:
+    """_verify_entry is the one per-instance checker; survey reads its results."""
+
+    def test_only_verify_entry_raises_verification_failure(self):
+        assert set(_callers("VerificationFailure")) == {"_verify_entry"}
+
+    def test_survey_rows_call_verify_entry_and_no_checks_of_their_own(self):
+        assert "_survey_rows" in _callers("_verify_entry")
+        own = {
+            "tutte_polynomial", "evaluations", "reversal_classes", "reversal_counts",
+            "classify", "is_binary", "minimal_counts",
+        }
+        assert [name for name in own if "_survey_rows" in _callers(name)] == []
+        (function,) = [
+            node
+            for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef) and node.name == "_survey_rows"
+        ]
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(function))
+
+    def test_family_choices_are_the_table_keys(self):
+        actions = cli.build_parser()._actions
+        (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+        (family,) = [a for a in sub.choices["survey"]._actions if a.dest == "family"]
+        assert family.choices == sorted(FAMILIES)
 
 
 class TestCatalogList:

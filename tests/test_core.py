@@ -565,6 +565,10 @@ REJECTED_SETS = (
      "signed set mentions an element outside 0..n-1"),
     ("support other than pos | neg", (0b111, 0b001, 0b010), None, MAX_ELEMENTS,
      "support mask 7 is not the union of the sign parts"),
+    ("bool mask", (True, ()), None, MAX_ELEMENTS,
+     "a sign part must be an int mask or an element list, got True"),
+    ("bool negative mask", ((0,), True), None, MAX_ELEMENTS,
+     "a sign part must be an int mask or an element list, got True"),
 )
 
 

@@ -401,10 +401,10 @@ class TestBuiltOnFirstRequest:
 class TestWordChecks:
     """Word lookups reject what _check_reorientation rejects, with its message."""
 
-    @pytest.mark.parametrize("A", [-1, -2, 8, 1 << 9])
+    @pytest.mark.parametrize("A", [-1, -2, 8, 1 << 9, True])
     def test_partition_lookups(self, A):
         M = get_instance("tri")
-        message = "reorientation %d is not an n-bit word for n=3" % A
+        message = "reorientation %r is not an n-bit word for n=3" % A
         for mode, restriction in ACCEPTED:
             P = reversal_classes(M, mode, restriction)
             with pytest.raises(ValueError, match=message):
