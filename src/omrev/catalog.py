@@ -1,12 +1,18 @@
 """Named instance catalog with frozen expected tables.
 
 Small graphic and uniform oriented matroids used by the CLI, the verify
-harness, and the regression tests.  Every expected value carries a
-provenance note: "literature" for externally published facts (graphic
-matroids are regular, uniform U(2,k) has one acyclic cocircuit reversal
-class for even k and two for odd k, U(r,n) with a 4-point-line minor is
-not regular), "oracle" for numbers computed by the exhaustive oracles in
-this package and frozen on their first run.
+harness, and the regression tests.  Each entry is written the way an
+instance file is: its source is a mapping such as
+{"graph": {"edges": [[0, 1], ...]}} or {"uniform": {"r": 2, "n": 4}},
+and building the entry passes it, with the entry's name, through
+core.instance_from_dict.  _DEFS is keyed by name, in listing order.
+
+Every expected value carries a provenance note: "literature" for
+externally published facts (graphic matroids are regular, uniform U(2,k)
+has one acyclic cocircuit reversal class for even k and two for odd k,
+U(r,n) with a 4-point-line minor is not regular), "oracle" for numbers
+computed by the exhaustive oracles in this package and frozen on their
+first run.
 
 FAMILIES maps each survey family name to a function of max_n that returns
 its entries, built the same way as the catalog's:
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import OrientedMatroid, build_from_graph, build_uniform
+from .core import OrientedMatroid, instance_from_dict
 
 
 @dataclass(frozen=True)
@@ -48,25 +54,10 @@ class CatalogEntry:
         return self.factory()
 
 
-def _graph(edges):
-    def make(name):
-        return build_from_graph(edges, name=name)
-
-    return make
-
-
-def _uniform(r, n):
-    def make(name):
-        return build_uniform(r, n, name=name)
-
-    return make
-
-
-_DEFS = (
-    (
-        "tri",
+_DEFS = {
+    "tri": (
         "triangle graph 0->1, 1->2, 0->2",
-        _graph([(0, 1), (1, 2), (0, 2)]),
+        {"graph": {"edges": [[0, 1], [1, 2], [0, 2]]}},
         ("regular", "loopless-coloopless", "graphic"),
         {
             "regular": Expected(True, "literature"),
@@ -74,10 +65,9 @@ _DEFS = (
             "reversal_counts": Expected((3, 4, 7, 2, 1), "oracle"),
         },
     ),
-    (
-        "c4",
+    "c4": (
         "directed 4-cycle",
-        _graph([(0, 1), (1, 2), (2, 3), (3, 0)]),
+        {"graph": {"edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}},
         ("regular", "loopless-coloopless", "graphic"),
         {
             "regular": Expected(True, "literature"),
@@ -85,10 +75,9 @@ _DEFS = (
             "reversal_counts": Expected((4, 5, 15, 3, 1), "oracle"),
         },
     ),
-    (
-        "c5",
+    "c5": (
         "directed 5-cycle",
-        _graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+        {"graph": {"edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}},
         ("regular", "loopless-coloopless", "graphic"),
         {
             "regular": Expected(True, "literature"),
@@ -96,10 +85,9 @@ _DEFS = (
             "reversal_counts": Expected((5, 6, 31, 4, 1), "oracle"),
         },
     ),
-    (
-        "k4",
+    "k4": (
         "complete graph on 4 vertices, edges in lex order",
-        _graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        {"graph": {"edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}},
         ("regular", "loopless-coloopless", "graphic"),
         {
             "regular": Expected(True, "literature"),
@@ -107,10 +95,9 @@ _DEFS = (
             "reversal_counts": Expected((16, 38, 38, 6, 6), "oracle"),
         },
     ),
-    (
-        "path2",
+    "path2": (
         "path 0->1->2: two coloops",
-        _graph([(0, 1), (1, 2)]),
+        {"graph": {"edges": [[0, 1], [1, 2]]}},
         ("regular", "has-coloop", "graphic"),
         {
             "regular": Expected(True, "literature"),
@@ -118,10 +105,9 @@ _DEFS = (
             "reversal_counts": Expected((1, 1, 4, 1, 0), "oracle"),
         },
     ),
-    (
-        "loop1",
+    "loop1": (
         "a single loop",
-        _graph([(0, 0)]),
+        {"graph": {"edges": [[0, 0]]}},
         ("regular", "has-loop", "graphic"),
         {
             "regular": Expected(True, "literature"),
@@ -129,10 +115,9 @@ _DEFS = (
             "reversal_counts": Expected((1, 2, 1, 0, 1), "oracle"),
         },
     ),
-    (
-        "loop-plus-triangle",
+    "loop-plus-triangle": (
         "triangle graph plus a loop (element 3)",
-        _graph([(0, 1), (1, 2), (0, 2), (0, 0)]),
+        {"graph": {"edges": [[0, 1], [1, 2], [0, 2], [0, 0]]}},
         ("regular", "has-loop", "graphic"),
         {
             "regular": Expected(True, "literature"),
@@ -140,10 +125,9 @@ _DEFS = (
             "reversal_counts": Expected((3, 8, 7, 0, 1), "oracle"),
         },
     ),
-    (
-        "u24",
+    "u24": (
         "uniform U(2,4): the 4-point line",
-        _uniform(2, 4),
+        {"uniform": {"r": 2, "n": 4}},
         ("non-regular", "loopless-coloopless", "uniform"),
         {
             "regular": Expected(False, "literature"),
@@ -152,10 +136,9 @@ _DEFS = (
             "acyclic_cocircuit_classes": Expected(1, "literature"),
         },
     ),
-    (
-        "u25",
+    "u25": (
         "uniform U(2,5)",
-        _uniform(2, 5),
+        {"uniform": {"r": 2, "n": 5}},
         ("non-regular", "loopless-coloopless", "uniform"),
         {
             "regular": Expected(False, "literature"),
@@ -164,10 +147,9 @@ _DEFS = (
             "acyclic_cocircuit_classes": Expected(2, "literature"),
         },
     ),
-    (
-        "u26",
+    "u26": (
         "uniform U(2,6)",
-        _uniform(2, 6),
+        {"uniform": {"r": 2, "n": 6}},
         ("non-regular", "loopless-coloopless", "uniform"),
         {
             "regular": Expected(False, "literature"),
@@ -176,10 +158,9 @@ _DEFS = (
             "acyclic_cocircuit_classes": Expected(1, "literature"),
         },
     ),
-    (
-        "u35",
+    "u35": (
         "uniform U(3,5)",
-        _uniform(3, 5),
+        {"uniform": {"r": 3, "n": 5}},
         ("non-regular", "loopless-coloopless", "uniform"),
         {
             "regular": Expected(False, "literature"),
@@ -187,10 +168,9 @@ _DEFS = (
             "reversal_counts": Expected((3, 11, 24, 1, 2), "oracle"),
         },
     ),
-    (
-        "u36",
+    "u36": (
         "uniform U(3,6)",
-        _uniform(3, 6),
+        {"uniform": {"r": 3, "n": 6}},
         ("non-regular", "loopless-coloopless", "uniform"),
         {
             "regular": Expected(False, "literature"),
@@ -198,22 +178,22 @@ _DEFS = (
             "reversal_counts": Expected((6, 35, 35, 3, 3), "oracle"),
         },
     ),
-)
+}
 
 
-def _entry(name, description, factory, tags, expected):
+def _entry(name, description, source, tags, expected):
     return CatalogEntry(
         name=name,
         description=description,
         tags=frozenset(tags),
         expected=dict(expected),
-        factory=lambda: factory(name),
+        factory=lambda: instance_from_dict({"name": name, "source": source}),
     )
 
 
 def catalog_instances():
     """All catalog entries, in the fixed listing order."""
-    return [_entry(*definition) for definition in _DEFS]
+    return [_entry(name, *row) for name, row in _DEFS.items()]
 
 
 def _u2k(max_n):
@@ -225,7 +205,7 @@ def _u2k(max_n):
         _entry(
             "U(2,%d)" % k,
             "uniform U(2,%d)" % k,
-            _uniform(2, k),
+            {"uniform": {"r": 2, "n": k}},
             ("regular" if k == 3 else "non-regular", "loopless-coloopless", "uniform"),
             {} if k == 3 else {"acyclic_cocircuit_classes": Expected(1 + k % 2, "literature")},
         )
@@ -242,10 +222,9 @@ FAMILIES = {
 
 
 def get_entry(name: str) -> CatalogEntry:
-    for entry in catalog_instances():
-        if entry.name == name:
-            return entry
-    raise KeyError("no catalog entry named %r" % (name,))
+    if name not in _DEFS:
+        raise KeyError("no catalog entry named %r" % (name,))
+    return _entry(name, *_DEFS[name])
 
 
 def get_instance(name: str) -> OrientedMatroid:

@@ -22,6 +22,8 @@ from fractions import Fraction
 
 from . import catalog as _catalog
 from .activity import (
+    MODES,
+    RESTRICTIONS,
     _held,
     activity_report,
     greedy_minimalize,
@@ -337,20 +339,24 @@ def _verify_entry(entry):
     return M, evals, counts, fresh == "regular", checked
 
 
+# each verify scope and the catalog tag it keeps (None keeps every entry)
+VERIFY_SCOPES = {"all": None, "regular": "regular", "nonregular": "non-regular"}
+
+
 def cmd_verify(scope="all", entries=None, stream=None) -> int:
     """Run the assertion suite over the catalog (or injected entries).
 
-    scope: all | regular | nonregular.
+    scope: a key of VERIFY_SCOPES.
     """
     stream = stream or sys.stdout
-    if scope not in ("all", "regular", "nonregular"):
-        raise ValueError("scope must be all, regular, or nonregular, got %r" % (scope,))
+    if scope not in VERIFY_SCOPES:
+        *head, last = VERIFY_SCOPES
+        raise ValueError("scope must be %s, or %s, got %r" % (", ".join(head), last, scope))
     if entries is None:
         entries = _catalog.catalog_instances()
-    if scope == "regular":
-        entries = [e for e in entries if "regular" in e.tags]
-    elif scope == "nonregular":
-        entries = [e for e in entries if "non-regular" in e.tags]
+    tag = VERIFY_SCOPES[scope]
+    if tag:
+        entries = [e for e in entries if tag in e.tags]
     try:
         for entry in entries:
             checked = _verify_entry(entry)[-1]
@@ -520,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("verify", help="assertion suite over the catalog")
-    p.add_argument("--scope", choices=("all", "regular", "nonregular"), default="all")
+    p.add_argument("--scope", choices=tuple(VERIFY_SCOPES), default="all")
     p.set_defaults(func=lambda a: cmd_verify(a.scope))
 
     p = sub.add_parser("survey", help="bases vs class-count ratios")
@@ -538,8 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="two minimal reorientations sharing a class")
     p.add_argument("target", help="catalog name or JSON instance file")
-    p.add_argument("--mode", choices=("circuit", "cocircuit", "both"), default="cocircuit")
-    p.add_argument("--restriction", choices=("all", "acyclic", "totally_cyclic"), default="acyclic")
+    p.add_argument("--mode", choices=MODES, default="cocircuit")
+    p.add_argument("--restriction", choices=RESTRICTIONS, default="acyclic")
     p.add_argument("--out", choices=("json", "table"), default="table")
     p.set_defaults(func=lambda a: cmd_witness(a.target, a.mode, a.restriction, a.out))
 

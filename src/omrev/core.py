@@ -735,9 +735,9 @@ def _check_reorientation(M, A):
 def positive_sets(M: OrientedMatroid, A: int, kind: str):
     """Stored sets of one kind that are positive in -_A M, in storage order."""
     _check_reorientation(M, A)
-    if kind not in ("circuit", "cocircuit"):
+    data = {"circuit": M.circuit_data, "cocircuit": M.cocircuit_data}.get(kind)
+    if data is None:
         raise ValueError("kind must be 'circuit' or 'cocircuit', got %r" % (kind,))
-    data = M.circuit_data if kind == "circuit" else M.cocircuit_data
     return [SignedSet(pos, neg) for _, pos, neg in _positive(data, A)]
 
 
@@ -893,64 +893,103 @@ def part_decomposition(M: OrientedMatroid, A: int):
 # instance files
 
 
-# the body of each source kind an instance file may hold
+def _is_list_of(value, item_type):
+    return isinstance(value, list) and all(isinstance(x, item_type) for x in value)
+
+
+def _mapping_fits(where, value, keys):
+    """True iff value is a dict; a key outside keys raises ValueError naming it."""
+    if not isinstance(value, dict):
+        return False
+    if not value.keys() <= keys:
+        unknown = next(k for k in value if k not in keys)
+        raise ValueError(
+            "%s has unknown key %r (allowed: %s)" % (where, unknown, ", ".join(sorted(keys)))
+        )
+    return True
+
+
+_SET_KEYS = frozenset(("pos", "neg"))
+
+
+def _signed_fits(body):
+    """True iff both lists hold only {"pos": list, "neg": list} mappings.
+
+    A set with another key raises ValueError naming it; the key test is
+    inlined, since it runs once per set of every loaded file.
+    """
+    lists = [body.get("circuits", []), body.get("cocircuits", [])]
+    return all(isinstance(sets, list) for sets in lists) and all(
+        isinstance(X, dict)
+        and (X.keys() <= _SET_KEYS or _mapping_fits("signed set", X, _SET_KEYS))
+        and isinstance(X.get("pos", []), list)
+        and isinstance(X.get("neg", []), list)
+        for sets in lists
+        for X in sets
+    )
+
+
+# The one table of source kinds an instance file may hold.  Each row is
+# (the body's shape, its container check, the keys a mapping body may
+# have or None for a list body, the call that builds it).  Element and
+# entry values are checked by the builders themselves.
 _SOURCE_SHAPES = {
-    "matrix": "[[int, ...], ...]",
-    "graph": '{"vertices": int, "edges": [[tail, head], ...]}',
-    "uniform": '{"r": int, "n": int}',
-    "signed": '{"circuits": [{"pos": [...], "neg": [...]}, ...], "cocircuits": [...]}',
+    "matrix": (
+        "[[int, ...], ...]",
+        lambda body: _is_list_of(body, list),
+        None,
+        lambda body, name: build_from_matrix(body, name=name),
+    ),
+    "graph": (
+        '{"vertices": int, "edges": [[tail, head], ...]}',
+        lambda body: _is_list_of(body.get("edges"), list) and _is_int(body.get("vertices", 0)),
+        frozenset(("vertices", "edges")),
+        lambda body, name: build_from_graph(
+            body["edges"], vertices=body.get("vertices"), name=name
+        ),
+    ),
+    "uniform": (
+        '{"r": int, "n": int}',
+        lambda body: "r" in body and "n" in body,
+        frozenset(("r", "n")),
+        lambda body, name: build_uniform(body["r"], body["n"], name=name),
+    ),
+    "signed": (
+        '{"circuits": [{"pos": [...], "neg": [...]}, ...], "cocircuits": [...]}',
+        _signed_fits,
+        frozenset(("circuits", "cocircuits")),
+        lambda body, name: build_from_signed_sets(
+            body.get("circuits", ()), body.get("cocircuits", ()), name=name
+        ),
+    ),
 }
 
 
 def instance_from_dict(data) -> OrientedMatroid:
     """Build an instance from a parsed mapping {"name": ..., "source": {...}}.
 
-    The source holds exactly one kind of _SOURCE_SHAPES, with a body of
-    that kind's shape; a body of another shape raises ValueError.
+    This is the one way an instance is written: instance files, the
+    catalog and the survey families all hold such mappings.  The name, if
+    given, must be a string.  The source holds exactly one kind of
+    _SOURCE_SHAPES, with a body of that kind's shape and no key the row
+    does not list; anything else raises ValueError.  Top-level keys other
+    than name and source are ignored.
     """
     if not isinstance(data, dict) or "source" not in data:
         raise ValueError("instance data must be a mapping with a 'source' entry")
     name = data.get("name", "instance")
+    if not isinstance(name, str):
+        raise ValueError("instance name must be a string, got %r" % (name,))
     source = data["source"]
     if not isinstance(source, dict) or len(source) != 1:
-        raise ValueError("source must hold exactly one of matrix/graph/uniform/signed")
+        raise ValueError("source must hold exactly one of %s" % "/".join(_SOURCE_SHAPES))
     (kind, body), = source.items()
     if kind not in _SOURCE_SHAPES:
         raise ValueError("unknown source kind %r" % (kind,))
-    if not _body_fits(kind, body):
-        raise ValueError("%s source must have the shape %s" % (kind, _SOURCE_SHAPES[kind]))
-    if kind == "matrix":
-        return build_from_matrix(body, name=name)
-    if kind == "graph":
-        return build_from_graph(body["edges"], vertices=body.get("vertices"), name=name)
-    if kind == "uniform":
-        return build_uniform(body["r"], body["n"], name=name)
-    return build_from_signed_sets(
-        body.get("circuits", ()), body.get("cocircuits", ()), name=name
-    )
-
-
-def _is_list_of(value, item_type):
-    return isinstance(value, list) and all(isinstance(x, item_type) for x in value)
-
-
-def _body_fits(kind, body):
-    """True iff a source body has the containers its builder reads.
-
-    Element and entry values are checked by the builders themselves.
-    """
-    if kind == "matrix":
-        return _is_list_of(body, list)
-    if not isinstance(body, dict):
-        return False
-    if kind == "graph":
-        return _is_list_of(body.get("edges"), list) and _is_int(body.get("vertices", 0))
-    if kind == "uniform":
-        return "r" in body and "n" in body
-    lists = [body.get("circuits", []), body.get("cocircuits", [])]
-    return all(_is_list_of(sets, dict) for sets in lists) and all(
-        isinstance(X.get(part, []), list) for sets in lists for X in sets for part in ("pos", "neg")
-    )
+    shape, fits, keys, build = _SOURCE_SHAPES[kind]
+    if not ((keys is None or _mapping_fits("%s source" % kind, body, keys)) and fits(body)):
+        raise ValueError("%s source must have the shape %s" % (kind, shape))
+    return build(body, name)
 
 
 def load_instance_file(path) -> OrientedMatroid:

@@ -9,17 +9,18 @@ The exceptions are the per-word loops the package's bitset kernels
 replaced.  cube_minima_ref and sweep_ref visit, for each stored set, all
 2^(n - |X|) words where it is positive, one word at a time; they pin the
 per-element word bitsets, as tables, and the forests built from class
-edges, and reuse the package's order helpers.  tutte_via_activities_ref
-sums the activities word by word over cube_minima_ref's tables; it pins
-the bit-sliced activity sum, on any signed lists.
+edges.  cube_minima_ref takes each set's order-minimum with this
+module's minimum_under.  tutte_via_activities_ref sums the activities
+word by word over cube_minima_ref's tables; it pins the bit-sliced
+activity sum, on any signed lists.
 subset_greedy_ref runs the circuit-greedy rank word by word, and
 tutte_polynomial_ref sums the corank-nullity expansion over it; they pin
 the bit-sliced sum in tutte_polynomial, on any circuit list.
 active_partition builds one word's parts as threshold unions of the
-supports core._positive lists there, and checks that they tile the ground
-set; activity_classes_ref flips those parts at each class representative,
-one class at a time.  They pin the leader sweep in activity_classes, on
-any signed lists and order.
+supports positive_in finds positive there, and checks that they tile the
+ground set; activity_classes_ref flips those parts at each class
+representative, one class at a time.  They pin the leader sweep in
+activity_classes, on any signed lists and order.
 tiling_ref scans the acyclic/cyclic split word by word, and
 orthogonality_ref compares every circuit with every cocircuit; they pin
 the bitset checks in validate, on any lists.
@@ -32,11 +33,12 @@ regularity.is_binary, verdict and witness, on any lists.
 
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from omrev import InvalidOrientedMatroid, RegularityVerdict, TuttePolynomial
 from omrev.activity import ActivityClasses, _positions
-from omrev.core import _by_top, _check_reorientation, _element_key, _elements_of, _min_bit, _positive
+from omrev.core import _by_top, _check_reorientation, _elements_of
 
 
 def matrix_rank(rows, cols):
@@ -150,15 +152,26 @@ def elements_of_ref(mask):
     return out
 
 
+@lru_cache(maxsize=1 << 14)
+def _element_signs(pos_mask, neg_mask):
+    """(e, 1 if e is in X+ else 0) for each element e of supp(X), ascending."""
+    return tuple((e, pos_mask >> e & 1) for e in elements_of_ref(pos_mask | neg_mask))
+
+
 def positive_in(X, A):
-    """Sign-by-sign positivity of {X, -X} in the reorientation word A."""
-    signs = []
-    for e in X.support:
-        s = 1 if e in X.pos else -1
-        if (A >> e) & 1:
-            s = -s
-        signs.append(s)
-    return all(s == 1 for s in signs) or all(s == -1 for s in signs)
+    """Sign-by-sign positivity of {X, -X} in the reorientation word A.
+
+    Every element's sign after reorienting by A must equal the first
+    element's; the first mismatch ends the scan.
+    """
+    signs = _element_signs(X.pos_mask, X.neg_mask)
+    if not signs:
+        return True
+    first = signs[0][1] ^ (A >> signs[0][0] & 1)
+    for e, s in signs:
+        if s ^ (A >> e & 1) != first:
+            return False
+    return True
 
 
 def _kind_sets(M, mode):
@@ -305,13 +318,13 @@ def cube_minima_ref(M, order=None):
     For each stored set X, OR its order-minimum bit into the entries of
     B | X- and B | X+ over all subsets B of the complement of supp(X).
     """
-    positions = _positions(M.n, order)
+    _positions(M.n, order)  # rejects an order that is not a permutation
     full = M.ground_mask
     tables = []
     for data in (M.circuit_data, M.cocircuit_data):
         table = array("L", [0]) * (1 << M.n)
         for supp, pos, neg in data:
-            mb = _min_bit(supp, positions)
+            mb = 1 << minimum_under(elements_of_ref(supp), order)
             comp = full & ~supp
             B = comp
             while True:
@@ -423,13 +436,14 @@ def active_partition(M, A: int, order=None) -> ActivePartition:
     oriented matroid).
     """
     _check_reorientation(M, A)
-    positions = _positions(M.n, order)
-    key = _element_key(positions)
+    _positions(M.n, order)  # rejects an order that is not a permutation
+    key = {e: k for k, e in enumerate(range(M.n) if order is None else order)}.__getitem__
     sides = []
-    for data, side in ((M.circuit_data, "circuit"), (M.cocircuit_data, "cocircuit")):
+    for sets, side in ((M.circuits, "circuit"), (M.cocircuits, "cocircuit")):
         entries = [
-            (supp, _min_bit(supp, positions).bit_length() - 1)
-            for supp, _, _ in _positive(data, A)
+            (X.support_mask, minimum_under(X.support, order))
+            for X in sets
+            if positive_in(X, A)
         ]
         sides.append(_side_parts(entries, key, side))
     parts = sides[0] + sides[1]
@@ -445,7 +459,7 @@ def active_partition(M, A: int, order=None) -> ActivePartition:
             raise InvalidOrientedMatroid(
                 "leader %d dropped out of its part at reorientation %d" % (p.leader, A)
             )
-        if _min_bit(p.elements_mask, positions) != 1 << p.leader:
+        if minimum_under(elements_of_ref(p.elements_mask), order) != p.leader:
             raise InvalidOrientedMatroid(
                 "leader %d is not the minimum of its part at reorientation %d"
                 % (p.leader, A)

@@ -1,3 +1,7 @@
+import ast
+import json
+from pathlib import Path
+
 import pytest
 
 from omrev import (
@@ -7,11 +11,13 @@ from omrev import (
     evaluations,
     get_entry,
     get_instance,
+    instance_from_dict,
     minimal_counts,
     reversal_counts,
     tutte_polynomial,
     validate,
 )
+from omrev import catalog, core
 from omrev.reversal import reversal_classes
 
 EXPECTED_NAMES = [
@@ -113,3 +119,32 @@ class TestLineFamily:
             for k in range(3, 9)
         ]
         assert counts == [2, 1, 2, 1, 2, 1]
+
+
+class TestOneInstanceFormat:
+    """Catalog entries are written as instance-file sources."""
+
+    def test_entries_are_instance_files(self):
+        for name, (_, source, _, _) in catalog._DEFS.items():
+            (kind,) = source
+            assert kind in core._SOURCE_SHAPES, name
+            text = json.dumps({"name": name, "source": source})
+            assert instance_from_dict(json.loads(text)) == get_instance(name)
+
+    def test_imports_and_no_builder_closure(self):
+        tree = ast.parse(Path(catalog.__file__).read_text(encoding="utf-8"))
+        from_core = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "core"
+            for alias in node.names
+        ]
+        assert sorted(from_core) == ["OrientedMatroid", "instance_from_dict"]
+        nested = [
+            inner.name
+            for outer in ast.walk(tree)
+            if isinstance(outer, ast.FunctionDef)
+            for inner in ast.walk(outer)
+            if inner is not outer and isinstance(inner, ast.FunctionDef)
+        ]
+        assert nested == []

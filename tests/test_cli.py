@@ -25,6 +25,7 @@ from omrev import (
     tutte_polynomial,
 )
 from omrev import cli
+from omrev.activity import MODES, RESTRICTIONS
 from omrev.catalog import FAMILIES, CatalogEntry, Expected
 from omrev.cli import (
     analyze_instance,
@@ -198,6 +199,24 @@ class TestAnalyzeFiles:
             {"graph": {"edges": [[0, True]]}},
             {"graph": {"vertices": True, "edges": [[0, 0]]}},
             {"signed": {"circuits": [], "cocircuits": [{"pos": [False]}, {"pos": [True]}]}},
+            # u24's lists under "circuit", a typo for "circuits"
+            {
+                "signed": {
+                    "circuit": [
+                        {"pos": [0, 2], "neg": [1]},
+                        {"pos": [0, 3], "neg": [1]},
+                        {"pos": [0, 3], "neg": [2]},
+                        {"pos": [1, 3], "neg": [2]},
+                    ],
+                    "cocircuits": [
+                        {"pos": [], "neg": [1, 2, 3]},
+                        {"pos": [0], "neg": [2, 3]},
+                        {"pos": [0, 1], "neg": [3]},
+                        {"pos": [0, 1, 2], "neg": []},
+                    ],
+                }
+            },
+            {"graph": {"edges": [[0, 1]], "vertexes": 3}},
         ],
     )
     def test_misshapen_source_exits_1(self, tmp_path, capsys, source):
@@ -205,6 +224,15 @@ class TestAnalyzeFiles:
         path.write_text(json.dumps({"source": source}))
         assert main(["analyze", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("name", [[1, 2], 3, {"a": 1}, None])
+    def test_name_that_is_not_a_string_exits_1(self, tmp_path, capsys, name):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({"name": name, "source": {"matrix": TRIANGLE}}))
+        assert main(["analyze", str(path), "--out", "json"]) == 1
+        assert capsys.readouterr().err == "error: instance name must be a string, got %r\n" % (
+            name,
+        )
 
     @pytest.mark.parametrize(
         "n, word", [(12, 1024), (13, 2048)], ids=["n12", "n13"]
@@ -552,6 +580,26 @@ class TestOneChecker:
         (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
         (family,) = [a for a in sub.choices["survey"]._actions if a.dest == "family"]
         assert family.choices == sorted(FAMILIES)
+
+
+class TestVocabularies:
+    """The parser reads each choice list from the module that owns it."""
+
+    def _choices(self, command, dest):
+        actions = cli.build_parser()._actions
+        (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+        (action,) = [a for a in sub.choices[command]._actions if a.dest == dest]
+        return action.choices
+
+    def test_witness_mode_and_restriction(self):
+        assert self._choices("witness", "mode") is MODES
+        assert self._choices("witness", "restriction") is RESTRICTIONS
+
+    def test_verify_scopes(self):
+        assert self._choices("verify", "scope") == tuple(cli.VERIFY_SCOPES)
+        message = "^scope must be all, regular, or nonregular, got 'x'$"
+        with pytest.raises(ValueError, match=message):
+            cmd_verify("x")
 
 
 class TestCatalogList:

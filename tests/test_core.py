@@ -909,6 +909,76 @@ class TestInstanceLoading:
         with pytest.raises(ValueError):
             instance_from_dict({"source": {"wheel": 4}})
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                {"signed": {"circuit": [], "cocircuits": []}},
+                "signed source has unknown key 'circuit' (allowed: circuits, cocircuits)",
+            ),
+            (
+                {"graph": {"edges": [[0, 1]], "vertexes": 3}},
+                "graph source has unknown key 'vertexes' (allowed: edges, vertices)",
+            ),
+            (
+                {"uniform": {"r": 2, "n": 4, "k": 1}},
+                "uniform source has unknown key 'k' (allowed: n, r)",
+            ),
+            (
+                {"signed": {"circuits": [{"pos": [0, 1], "ng": [2]}]}},
+                "signed set has unknown key 'ng' (allowed: neg, pos)",
+            ),
+        ],
+        ids=["signed", "graph", "uniform", "signed set"],
+    )
+    def test_unknown_key_is_named(self, source, message):
+        with pytest.raises(ValueError) as info:
+            instance_from_dict({"source": source})
+        assert str(info.value) == message
+
+    def test_unknown_key_is_the_only_fault(self):
+        # the same lists under "circuits" build U(2,4)
+        M = build_uniform(2, 4)
+        body = {
+            "circuits": [{"pos": sorted(X.pos), "neg": sorted(X.neg)} for X in M.circuits],
+            "cocircuits": [{"pos": sorted(X.pos), "neg": sorted(X.neg)} for X in M.cocircuits],
+        }
+        assert instance_from_dict({"source": {"signed": body}}) == M
+        body["circuit"] = body.pop("circuits")
+        with pytest.raises(ValueError, match="unknown key 'circuit'"):
+            instance_from_dict({"source": {"signed": body}})
+
+    @pytest.mark.parametrize("name", [[1, 2], 3, True, {"a": 1}, None])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ValueError) as info:
+            instance_from_dict({"name": name, "source": {"matrix": TRIANGLE}})
+        assert str(info.value) == "instance name must be a string, got %r" % (name,)
+
+    def test_default_and_empty_names(self):
+        assert instance_from_dict({"source": {"matrix": TRIANGLE}}).name == "instance"
+        assert instance_from_dict({"name": "", "source": {"matrix": TRIANGLE}}).name == "om"
+
+    def test_other_top_level_keys_are_allowed(self):
+        M = instance_from_dict({"name": "t", "note": [1], "source": {"matrix": TRIANGLE}})
+        assert M == build_from_matrix(TRIANGLE)
+
+    def test_no_kind_branch_outside_the_table(self):
+        # a new source kind is one row of _SOURCE_SHAPES, not a new branch
+        tree = ast.parse(Path(core.__file__).read_text(encoding="utf-8"))
+        compared = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                literals = [
+                    c
+                    for o in operands
+                    for c in (o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o])
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                ]
+                if literals and any(getattr(o, "id", None) == "kind" for o in operands):
+                    compared.append(ast.unparse(node))
+        assert compared == []
+
     def test_load_file(self, tmp_path):
         path = tmp_path / "tri.json"
         path.write_text(json.dumps({"source": {"matrix": TRIANGLE}}))
