@@ -5,7 +5,8 @@ There are two entry points: the ``omrev`` console script declared in
 with its return value, so they share the exit-code contract below.
 
 Exit codes follow a CI-friendly contract: 0 on success, 1 on input or
-build errors (including bad flags), 2 on a failed verification assertion.
+build errors (including bad flags, and a failed theorem check in analyze
+or witness), 2 on a failed verification assertion.
 Reports are deterministic byte for byte across runs with the same flags;
 wall-clock timing is therefore only emitted under the opt-in --timing.
 """
@@ -31,13 +32,8 @@ from .activity import (
     minimal_counts,
 )
 from .core import InvalidOrientedMatroid, OrientedMatroid, _cube, load_instance_file
-from .regularity import RegularityVerdict, classify, is_binary
-from .reversal import (
-    find_minimal_pair_in_class,
-    reversal_classes,
-    reversal_counts,
-    same_class,
-)
+from .regularity import RegularityVerdict, is_binary
+from .reversal import find_minimal_pair_in_class, reversal_classes, same_class
 from .tutte import SETTINGS, TuttePolynomial, evaluations, tutte_polynomial
 
 WARN_ELEMENTS = 16
@@ -72,7 +68,11 @@ def _equality_rows(evals, counts):
 
 @dataclass
 class AnalysisReport:
-    """Everything cmd_analyze knows about one instance."""
+    """Everything cmd_analyze knows about one instance.
+
+    partitions holds the five reversal partitions, in SETTINGS order, and
+    reversal_counts their class counts; only the counts are printed.
+    """
 
     name: str
     n: int
@@ -80,6 +80,7 @@ class AnalysisReport:
     order: tuple | None
     tutte: TuttePolynomial
     evaluations: tuple
+    partitions: tuple
     reversal_counts: tuple
     minimal_counts: tuple
     regularity: RegularityVerdict
@@ -157,46 +158,102 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def _check_minimal_counts(M, mins, evals):
-    """Raise unless the minimal counts mins equal the Tutte evaluations evals.
+def _analysis(M: OrientedMatroid, order=None, verbose=False) -> AnalysisReport:
+    """The analysis record of M: every figure analyze prints and verify checks.
 
-    The equality is a theorem for every oriented matroid and order, so a
-    mismatch means the input is not one and raises InvalidOrientedMatroid.
+    The order-dependent steps run first, so a bad order or too large a
+    verbose report fails fast.  Each setting's partition is requested once,
+    through this module's reversal_classes name.
     """
-    if mins != evals:
-        raise InvalidOrientedMatroid(
-            "minimal counts %r differ from the Tutte evaluations %r of %s"
-            % (mins, evals, M.name)
-        )
-
-
-def analyze_instance(M: OrientedMatroid, order=None, verbose=False) -> AnalysisReport:
-    """Compute the full analysis record for one oriented matroid."""
-    # order-dependent steps first: a bad order or too large a verbose report fails fast
     order = None if order is None else tuple(order)
     mins = minimal_counts(M, order)
     acts = tuple(activity_report(M, order)) if verbose else None
     T = tutte_polynomial(M)
-    evals = evaluations(T)
-    counts = reversal_counts(M)
-    _check_minimal_counts(M, mins, evals)
+    partitions = tuple(
+        reversal_classes(M, mode, restriction) for _, mode, restriction, _ in SETTINGS
+    )
     verdict = is_binary(M)
-    pair = None
-    if not verdict.regular:
-        pair = find_minimal_pair_in_class(M, "cocircuit", "acyclic")
     return AnalysisReport(
         name=M.name,
         n=M.n,
         rank=M.rank,
         order=order,
         tutte=T,
-        evaluations=evals,
-        reversal_counts=counts,
+        evaluations=evaluations(T),
+        partitions=partitions,
+        reversal_counts=tuple(P.class_count for P in partitions),
         minimal_counts=mins,
         regularity=verdict,
-        witness_pair=pair,
+        witness_pair=(
+            None if verdict.regular else find_minimal_pair_in_class(M, "cocircuit", "acyclic")
+        ),
         activities=acts,
     )
+
+
+def _check_minimal(check, mins, evals):
+    """Check that the minimal counts mins equal the Tutte evaluations evals."""
+    check(
+        "minimal-reorientation counts equal the five Tutte evaluations",
+        mins == evals,
+        "evals %r, minimal counts %r" % (evals, mins),
+    )
+
+
+def _check_theorem(M, report, check):
+    """Run the paper's identities on report through check(label, ok, detail).
+
+    Minimal counts equal the five Tutte evaluations; class counts are at
+    most them, and equal them if M is regular.  A non-regular M shows a
+    strict gap in every setting that admits a word: with a loop (coloop)
+    no word is acyclic (totally cyclic), and both counts are 0.
+    """
+    evals, counts = report.evaluations, report.reversal_counts
+    _check_minimal(check, report.minimal_counts, evals)
+    classes = "evals %r, classes %r" % (evals, counts)
+    check(
+        "class counts never exceed the Tutte evaluations",
+        all(c <= e for c, e in zip(counts, evals)),
+        classes,
+    )
+    if report.regular:
+        check(
+            "regular instance: class counts equal the Tutte evaluations", counts == evals, classes
+        )
+    else:
+        empty = {"all": False, "acyclic": M.has_loops, "totally_cyclic": M.has_coloops}
+        for (label, _, restriction, _), c, e in zip(SETTINGS, counts, evals):
+            if not empty[restriction]:
+                check(
+                    "non-regular instance: strict gap in setting %s" % label,
+                    c < e,
+                    "tutte %d, classes %d" % (e, c),
+                )
+
+
+def _invalid(name):
+    """A check callback that raises InvalidOrientedMatroid on a failed check.
+
+    The checks are theorems for every oriented matroid, so a failure means
+    the input is not one: an input error, exit 1.
+    """
+
+    def check(label, ok, detail):
+        if not ok:
+            raise InvalidOrientedMatroid("%s: %s (%s)" % (name, label, detail))
+
+    return check
+
+
+def analyze_instance(M: OrientedMatroid, order=None, verbose=False) -> AnalysisReport:
+    """The analysis record of M, after the theorem checks verify runs.
+
+    A failed check raises InvalidOrientedMatroid naming the instance, the
+    check and its detail.
+    """
+    report = _analysis(M, order, verbose)
+    _check_theorem(M, report, _invalid(M.name))
+    return report
 
 
 def _emit(text, stream=None):
@@ -232,10 +289,10 @@ class VerificationFailure(AssertionError):
 def _verify_entry(entry):
     """All assertions for one catalog entry; raises VerificationFailure.
 
-    Checks the tags and expected tables, the minimal counts against the
-    Tutte evaluations, the class counts against them (equal iff regular),
-    and that the greedy walk from every word ends at a minimal word of its
-    circuit-cocircuit class, at every n.  This is the one per-instance
+    Builds the entry's analysis record once, then checks the tags and
+    expected tables, runs analyze's theorem checks (_check_theorem), and
+    checks that the greedy walk from every word ends at a minimal word of
+    its circuit-cocircuit class, at every n.  This is the one per-instance
     checker: verify and survey both run every entry through it.
 
     Returns (M, evaluations, class counts, regular, checks passed), the
@@ -253,35 +310,22 @@ def _verify_entry(entry):
         checked += 1
 
     M = entry.build()
+    report = _analysis(M)
 
     tag_regular = "regular" in entry.tags
-    tag_nonregular = "non-regular" in entry.tags
-    check("tags carry exactly one regularity claim", tag_regular != tag_nonregular)
-    fresh = classify(M)
+    check("tags carry exactly one regularity claim", tag_regular != ("non-regular" in entry.tags))
     check(
         "regularity tag matches the even-intersection scan",
-        fresh == ("regular" if tag_regular else "non-regular"),
-        "scan says %s" % fresh,
+        report.regular == tag_regular,
+        "scan says %s" % ("regular" if report.regular else "non-regular"),
     )
 
-    T = tutte_polynomial(M)
-    evals = evaluations(T)
-    # each setting's partition is built once; the greedy-walk check below
-    # reads the both/all one
-    partitions = [reversal_classes(M, mode, restriction) for _, mode, restriction, _ in SETTINGS]
-    counts = tuple(P.class_count for P in partitions)
-    by_label = {label: c for (label, _, _, _), c in zip(SETTINGS, counts)}
-    mins = minimal_counts(M)
-
     for key, what, computed in (
-        ("regular", "regular table", fresh == "regular"),
-        ("tutte_evaluations", "tutte_evaluations table", evals),
-        ("reversal_counts", "reversal_counts table", counts),
-        (
-            "acyclic_cocircuit_classes",
-            "acyclic cocircuit class count",
-            by_label["acyclic_cocircuit"],
-        ),
+        ("regular", "regular table", report.regular),
+        ("tutte_evaluations", "tutte_evaluations table", report.evaluations),
+        ("reversal_counts", "reversal_counts table", report.reversal_counts),
+        # SETTINGS order: acyclic_cocircuit is the fourth setting
+        ("acyclic_cocircuit_classes", "acyclic cocircuit class count", report.reversal_counts[3]),
     ):
         exp = entry.expected.get(key)
         if exp is not None:
@@ -291,40 +335,13 @@ def _verify_entry(entry):
                 "expected %r got %r" % (exp.value, computed),
             )
 
-    check(
-        "minimal-reorientation counts equal the five Tutte evaluations",
-        mins == evals,
-        "evals %r, minimal counts %r" % (evals, mins),
-    )
-    check(
-        "class counts never exceed the Tutte evaluations",
-        all(c <= e for c, e in zip(counts, evals)),
-        "evals %r, classes %r" % (evals, counts),
-    )
-
-    if tag_regular:
-        check(
-            "regular instance: class counts equal the Tutte evaluations",
-            counts == evals,
-            "evals %r, classes %r" % (evals, counts),
-        )
-    else:
-        # with a loop (coloop) no word is acyclic (totally cyclic): no gap to show
-        empty = {"all": False, "acyclic": M.has_loops, "totally_cyclic": M.has_coloops}
-        for (label, _, restriction, _), c, e in zip(SETTINGS, counts, evals):
-            if empty[restriction]:
-                continue
-            check(
-                "non-regular instance: strict gap in setting %s" % label,
-                c < e,
-                "tutte %d, classes %d" % (e, c),
-            )
+    _check_theorem(M, report, check)
 
     # every word's walk ends at a minimal word of its own both/all class;
     # only on failure is the first failing word looked for, word by word
     ends = greedy_minimalize(M)
     held = _held(_cube(M))["both"]
-    rep = partitions[0].rep_of
+    rep = report.partitions[0].rep_of
     walked = not any(held >> B & 1 for B in set(ends)) and list(map(rep.__getitem__, ends)) == rep
     detail = ""
     if not walked:
@@ -336,7 +353,7 @@ def _verify_entry(entry):
         detail = "A=%d gave B=%d" % (A, ends[A])
     check("greedy walk reaches a minimal reorientation of the same class", walked, detail)
 
-    return M, evals, counts, fresh == "regular", checked
+    return M, report.evaluations, report.reversal_counts, report.regular, checked
 
 
 # each verify scope and the catalog tag it keeps (None keeps every entry)
@@ -466,7 +483,7 @@ def cmd_catalog_list(out="table", stream=None) -> int:
 
 def cmd_witness(target, mode="cocircuit", restriction="acyclic", out="table", stream=None) -> int:
     M = _resolve_instance(target)
-    _check_minimal_counts(M, minimal_counts(M), evaluations(tutte_polynomial(M)))
+    _check_minimal(_invalid(M.name), minimal_counts(M), evaluations(tutte_polynomial(M)))
     pair = find_minimal_pair_in_class(M, mode, restriction)
     record = {
         "instance": M.name,

@@ -970,14 +970,15 @@ def instance_from_dict(data) -> OrientedMatroid:
 
     This is the one way an instance is written: instance files, the
     catalog and the survey families all hold such mappings.  The name, if
-    given, must be a string.  The source holds exactly one kind of
+    given, must be a string; a missing or empty name gives "instance", for
+    every kind.  The source holds exactly one kind of
     _SOURCE_SHAPES, with a body of that kind's shape and no key the row
     does not list; anything else raises ValueError.  Top-level keys other
     than name and source are ignored.
     """
     if not isinstance(data, dict) or "source" not in data:
         raise ValueError("instance data must be a mapping with a 'source' entry")
-    name = data.get("name", "instance")
+    name = data.get("name", "")
     if not isinstance(name, str):
         raise ValueError("instance name must be a string, got %r" % (name,))
     source = data["source"]
@@ -989,7 +990,7 @@ def instance_from_dict(data) -> OrientedMatroid:
     shape, fits, keys, build = _SOURCE_SHAPES[kind]
     if not ((keys is None or _mapping_fits("%s source" % kind, body, keys)) and fits(body)):
         raise ValueError("%s source must have the shape %s" % (kind, shape))
-    return build(body, name)
+    return build(body, name or "instance")
 
 
 def load_instance_file(path) -> OrientedMatroid:

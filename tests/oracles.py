@@ -38,7 +38,7 @@ from math import comb
 
 from omrev import InvalidOrientedMatroid, RegularityVerdict, TuttePolynomial
 from omrev.activity import ActivityClasses, _positions
-from omrev.core import _by_top, _check_reorientation, _elements_of
+from omrev.core import _check_reorientation, _elements_of
 
 
 def matrix_rank(rows, cols):
@@ -105,9 +105,13 @@ def subset_greedy_ref(M):
 
     Word S keeps the greedy set of S minus its top element and adds that
     element unless a circuit with the same top element then fits inside.
+    The circuits are grouped by top element here, apart from core's
+    grouping that tutte_polynomial reads.
     """
     n = M.n
-    by_top = [[supp for supp, _, _ in group] for group in _by_top(M.circuit_data, n)]
+    by_top = [[] for _ in range(n)]
+    for X in M.circuits:
+        by_top[max(X.support)].append(X.support_mask)
     greedy = [0] * (1 << n)
     for S in range(1, 1 << n):
         top = 1 << (S.bit_length() - 1)
@@ -259,11 +263,16 @@ def is_binary_ref(M):
     return RegularityVerdict(True, None)
 
 
+@lru_cache(maxsize=None)
+def _position_key(order):
+    """Key giving each element's position in the tuple order, built once per order."""
+    return {e: k for k, e in enumerate(order)}.__getitem__
+
+
 def minimum_under(elements, order):
     if order is None:
         return min(elements)
-    pos = {e: k for k, e in enumerate(order)}
-    return min(elements, key=pos.__getitem__)
+    return min(elements, key=_position_key(tuple(order)))
 
 
 def is_minimal_ref(M, A, mode="both", order=None):

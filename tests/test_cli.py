@@ -27,6 +27,7 @@ from omrev import (
 from omrev import cli
 from omrev.activity import MODES, RESTRICTIONS
 from omrev.catalog import FAMILIES, CatalogEntry, Expected
+from omrev.tutte import SETTINGS
 from omrev.cli import (
     analyze_instance,
     cmd_analyze,
@@ -271,8 +272,8 @@ class TestChecksBehindValidate:
             assert str(err.value) == message
 
     COUNTS_MESSAGE = (
-        "minimal counts (79, 8179, 92, 13, 66) differ from "
-        "the Tutte evaluations (78, 8178, 92, 12, 66) of line"
+        "line: minimal-reorientation counts equal the five Tutte evaluations "
+        "(evals (78, 8178, 92, 12, 66), minimal counts (79, 8179, 92, 13, 66))"
     )
 
     def test_minimal_counts_check(self):
@@ -292,6 +293,52 @@ class TestChecksBehindValidate:
         assert main(["witness", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: %s\n" % self.COUNTS_MESSAGE and not captured.out
+
+
+class TestAnalyzeRunsTheTheoremChecks:
+    """analyze runs verify's theorem checks and exits 1 on a failed one."""
+
+    def test_regular_instance_with_too_few_classes_exits_1(self, monkeypatch, capsys):
+        partition = SimpleNamespace(class_count=1)
+        monkeypatch.setattr(cli, "reversal_classes", lambda M, mode, restriction: partition)
+        assert main(["analyze", "tri"]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (
+            "error: tri: regular instance: class counts equal the Tutte evaluations "
+            "(evals (3, 4, 7, 2, 1), classes (1, 1, 1, 1, 1))\n"
+        )
+
+    def test_non_regular_instance_without_a_gap_exits_1(self, monkeypatch, capsys):
+        # u24's class counts stubbed to its Tutte evaluations
+        evals = dict(zip([(mode, r) for _, mode, r, _ in SETTINGS], (6, 11, 11, 3, 3)))
+        monkeypatch.setattr(
+            cli,
+            "reversal_classes",
+            lambda M, mode, restriction: SimpleNamespace(class_count=evals[mode, restriction]),
+        )
+        assert main(["analyze", "u24"]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (
+            "error: u24: non-regular instance: strict gap in setting circuit_cocircuit "
+            "(tutte 6, classes 6)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_each_setting_is_requested_once(self, monkeypatch, command):
+        real, requested = cli.reversal_classes, []
+
+        def counted(M, mode, restriction):
+            requested.append((mode, restriction))
+            return real(M, mode, restriction)
+
+        monkeypatch.setattr(cli, "reversal_classes", counted)
+        if command == "analyze":
+            analyze_instance(get_instance("k4"))
+        else:
+            assert _run(cmd_verify, entries=[get_entry("k4")])[0] == 0
+        assert requested == [(mode, r) for _, mode, r, _ in SETTINGS]
 
 
 def _line(n, drop_circuit=None, drop_cocircuit=None):
@@ -556,7 +603,11 @@ class TestSurvey:
 
 
 class TestOneChecker:
-    """_verify_entry is the one per-instance checker; survey reads its results."""
+    """_verify_entry is the one per-instance checker; survey reads its results.
+
+    analyze and verify share one analysis record (_analysis) and one set of
+    theorem checks (_check_theorem).
+    """
 
     def test_only_verify_entry_raises_verification_failure(self):
         assert set(_callers("VerificationFailure")) == {"_verify_entry"}
@@ -574,6 +625,13 @@ class TestOneChecker:
             if isinstance(node, ast.FunctionDef) and node.name == "_survey_rows"
         ]
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(function))
+
+    def test_one_record_and_one_theorem_check(self):
+        assert sorted(_callers("_check_theorem")) == ["_verify_entry", "analyze_instance"]
+        assert sorted(_callers("_analysis")) == ["_verify_entry", "analyze_instance"]
+        computed = ("tutte_polynomial", "reversal_classes", "minimal_counts")
+        for caller in ("_verify_entry", "_survey_rows"):
+            assert [name for name in computed if caller in _callers(name)] == [], caller
 
     def test_family_choices_are_the_table_keys(self):
         actions = cli.build_parser()._actions

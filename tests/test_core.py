@@ -955,8 +955,22 @@ class TestInstanceLoading:
         assert str(info.value) == "instance name must be a string, got %r" % (name,)
 
     def test_default_and_empty_names(self):
-        assert instance_from_dict({"source": {"matrix": TRIANGLE}}).name == "instance"
-        assert instance_from_dict({"name": "", "source": {"matrix": TRIANGLE}}).name == "om"
+        # an empty name is a missing one, whatever the source kind
+        bodies = {
+            "matrix": TRIANGLE,
+            "graph": {"edges": [[0, 1], [1, 2], [0, 2]]},
+            "uniform": {"r": 2, "n": 4},
+            "signed": {
+                "circuits": [{"pos": [0, 1], "neg": [2]}],
+                "cocircuits": [{"pos": [0], "neg": [1]}, {"pos": [0, 2]}, {"pos": [1, 2]}],
+            },
+        }
+        assert bodies.keys() == core._SOURCE_SHAPES.keys()
+        for kind, body in bodies.items():
+            for data in ({}, {"name": ""}):
+                M = instance_from_dict({**data, "source": {kind: body}})
+                assert M.name == "instance", (kind, data)
+            assert instance_from_dict({"name": "x", "source": {kind: body}}).name == "x"
 
     def test_other_top_level_keys_are_allowed(self):
         M = instance_from_dict({"name": "t", "note": [1], "source": {"matrix": TRIANGLE}})
