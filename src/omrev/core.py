@@ -12,11 +12,12 @@ A stored set X counts as positive in -_A M exactly when A picks out one of
 its two sign parts over the support, i.e. A & supp(X) is X- or X+.
 
 Builders: an integer matrix (sign patterns of rational kernel vectors on
-minimal dependent column sets), a directed graph (signed incidence matrix),
-a uniform matroid U(r, n) (the signs of Vandermonde columns, written out
-with no arithmetic), or explicit signed-set lists.  Every source leaves
-through build_from_signed_sets, the one builder that constructs and
-validates an instance.  All arithmetic is exact rational; no floats
+minimal dependent column sets), a directed graph (signed simple cycles by
+a depth-first search, bonds from the signed incidence matrix), a uniform
+matroid U(r, n) (the signs of Vandermonde columns, written out with no
+arithmetic), or explicit signed-set lists.  Every source leaves through
+build_from_signed_sets, the one builder that constructs and validates an
+instance.  All arithmetic is exact rational; no floats
 anywhere.
 """
 
@@ -441,13 +442,58 @@ def build_from_matrix(matrix, *, n=None, name="matrix") -> OrientedMatroid:
     return build_from_signed_sets(circuits, cocircuits, n=n, name=name)
 
 
+def _graph_cycles(arcs, order):
+    """Signed simple cycles of a directed multigraph, in the subset scan's order.
+
+    arcs[j] is edge j as a (tail, head) pair of vertices in range(order),
+    or None for a loop, which is a one-element circuit.  A depth-first
+    search from each vertex s runs through vertices above s only and
+    closes a cycle on any unused edge back to s, so two parallel edges
+    close a two-element cycle.  It meets each cycle once per direction and
+    keeps the first by its edge set.  An edge is + when the cycle runs from
+    its tail to its head.  The cycles come out as (pos, neg) masks, by size
+    and then by sorted edge list, the order the column-subset scan finds
+    them in.
+    """
+    found = {1 << j: (1 << j, 0) for j, arc in enumerate(arcs) if arc is None}
+    steps = [[] for _ in range(order)]
+    for j, arc in enumerate(arcs):
+        if arc is not None:
+            steps[arc[0]].append((arc[1], 1 << j, True))
+            steps[arc[1]].append((arc[0], 1 << j, False))
+
+    def extend(start, v, pos, neg, on_path):
+        for w, bit, forward in steps[v]:
+            if (pos | neg) & bit:
+                continue
+            p, q = (pos | bit, neg) if forward else (pos, neg | bit)
+            if w == start:
+                found.setdefault(p | q, (p, q))
+            elif w > start and not on_path >> w & 1:
+                extend(start, w, p, q, on_path | 1 << w)
+
+    for s in range(order):
+        extend(s, s, 0, 0, 1 << s)
+    scan_order = sorted(found, key=lambda supp: (supp.bit_count(), _elements_of(supp)))
+    return [found[supp] for supp in scan_order]
+
+
 def build_from_graph(edges, *, vertices=None, name="graph") -> OrientedMatroid:
     """Graphic oriented matroid of a directed multigraph.
 
-    Edge j = (u, v) becomes ground element j with incidence column +1 at the
-    head v and -1 at the tail u; a loop (u, u) contributes a zero column.
-    Positive circuits are then consistently directed cycles and positive
-    cocircuits are consistently directed minimal edge cuts.
+    Edge j = (u, v) becomes ground element j.  The circuits are the signed
+    simple cycles, listed by _graph_cycles' depth-first search: an edge is +
+    when the cycle runs from its tail u to its head v, a loop (u, u) is a
+    one-element circuit and two parallel edges form a two-element one.
+    The cocircuits are the circuits of a kernel basis of the incidence
+    matrix (column j is +1 at v and -1 at u, a loop's column is zero),
+    found by the column-subset scan.  Positive circuits are then
+    consistently directed cycles and positive cocircuits consistently
+    directed minimal edge cuts.  Only endpoints of non-loop edges become
+    search vertices and incidence rows, numbered in ascending vertex
+    order, so a vertex id costs nothing beyond its edges.  Both lists go
+    through build_from_signed_sets, which infers the rank and validates
+    them.
     """
     edge_list = [tuple(e) for e in edges]
     if len(edge_list) > MAX_ELEMENTS:
@@ -457,16 +503,19 @@ def build_from_graph(edges, *, vertices=None, name="graph") -> OrientedMatroid:
             raise ValueError("edges must be (tail, head) pairs of nonnegative ints, got %r" % (e,))
     if vertices is not None and vertices < 1 + max((max(e) for e in edge_list), default=-1):
         raise ValueError("vertex count %d too small for the edge endpoints" % vertices)
-    # one row per endpoint of a non-loop edge, in ascending vertex order:
-    # the zero rows of isolated vertices change no circuit or cocircuit
+    # one search vertex and incidence row per endpoint of a non-loop edge, in
+    # ascending vertex order: isolated vertices change no circuit or cocircuit
     ends = sorted({v for e in edge_list if e[0] != e[1] for v in e})
     row = {v: i for i, v in enumerate(ends)}
-    matrix = [[0] * len(edge_list) for _ in row]
+    n = len(edge_list)
+    matrix = [[0] * n for _ in row]
     for j, (u, v) in enumerate(edge_list):
         if u != v:
             matrix[row[v]][j] += 1
             matrix[row[u]][j] -= 1
-    return build_from_matrix(matrix, n=len(edge_list), name=name)
+    arcs = [(row[u], row[v]) if u != v else None for u, v in edge_list]
+    cocircuits = _circuits_of_matrix(_kernel_basis(matrix, n), n)
+    return build_from_signed_sets(_graph_cycles(arcs, len(ends)), cocircuits, n=n, name=name)
 
 
 def build_uniform(r, n, name=None) -> OrientedMatroid:

@@ -26,6 +26,8 @@ orthogonality_ref compares every circuit with every cocircuit; they pin
 the bitset checks in validate, on any lists.
 elements_of_ref peels a mask's lowest set bit once per loop pass; it pins
 the byte-lane table in core._elements_of.
+Every name this module takes from omrev is one the package exports; the
+word and order checks and the class listing are its own.
 is_binary_ref tests every circuit/cocircuit support pair for an even
 intersection, in storage order; it pins the per-element parity bitsets in
 regularity.is_binary, verdict and witness, on any lists.
@@ -37,8 +39,6 @@ from functools import lru_cache
 from math import comb
 
 from omrev import InvalidOrientedMatroid, RegularityVerdict, TuttePolynomial
-from omrev.activity import ActivityClasses, _positions
-from omrev.core import _check_reorientation, _elements_of
 
 
 def matrix_rank(rows, cols):
@@ -144,6 +144,23 @@ def tutte_polynomial_ref(M):
             raise InvalidOrientedMatroid("word %d leaves the rank or nullity range" % S)
         cn[r - rs][S.bit_count() - rs] += 1
     return TuttePolynomial(r, _coeffs_of_corank_nullity(cn))
+
+
+def check_word(n, A):
+    """Reject A unless it is an n-bit word, with the package's message."""
+    if not isinstance(A, int) or isinstance(A, bool) or A < 0 or A >> n:
+        raise ValueError("reorientation %r is not an n-bit word for n=%d" % (A, n))
+
+
+def check_order(n, order):
+    """Reject an order that is not a permutation of range(n) made of ints
+    (not bools or floats), with the package's message; None is the identity."""
+    if order is None:
+        return
+    order = list(order)
+    ints = all(isinstance(e, int) and not isinstance(e, bool) for e in order)
+    if not ints or sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of range(%d)" % n)
 
 
 def elements_of_ref(mask):
@@ -327,7 +344,7 @@ def cube_minima_ref(M, order=None):
     For each stored set X, OR its order-minimum bit into the entries of
     B | X- and B | X+ over all subsets B of the complement of supp(X).
     """
-    _positions(M.n, order)  # rejects an order that is not a permutation
+    check_order(M.n, order)
     full = M.ground_mask
     tables = []
     for data in (M.circuit_data, M.cocircuit_data):
@@ -389,12 +406,12 @@ class ActivePart:
 
     @property
     def elements(self) -> frozenset:
-        return frozenset(_elements_of(self.elements_mask))
+        return frozenset(elements_of_ref(self.elements_mask))
 
     def __repr__(self):
         return "ActivePart(leader=%d, elements=%r, side=%r)" % (
             self.leader,
-            _elements_of(self.elements_mask),
+            elements_of_ref(self.elements_mask),
             self.side,
         )
 
@@ -444,8 +461,8 @@ def active_partition(M, A: int, order=None) -> ActivePartition:
     Violations raise InvalidOrientedMatroid (they cannot occur for a valid
     oriented matroid).
     """
-    _check_reorientation(M, A)
-    _positions(M.n, order)  # rejects an order that is not a permutation
+    check_word(M.n, A)
+    check_order(M.n, order)
     key = {e: k for k, e in enumerate(range(M.n) if order is None else order)}.__getitem__
     sides = []
     for sets, side in ((M.circuits, "circuit"), (M.cocircuits, "cocircuit")):
@@ -480,6 +497,20 @@ def active_partition(M, A: int, order=None) -> ActivePartition:
     return ActivePartition(sorted(parts, key=lambda p: key(p.leader)))
 
 
+class ClassesRef:
+    """Classes of all 2^n words by ascending representative, with the
+    class_of lookup of an ActivityClasses."""
+
+    def __init__(self, n, classes, class_of):
+        self.n = n
+        self.classes = tuple(classes)
+        self._class_of = class_of
+
+    def class_of(self, A):
+        check_word(self.n, A)
+        return self._class_of[A]
+
+
 def activity_classes_ref(M, order=None):
     """Activity classes by flipping the parts at each representative in turn.
 
@@ -506,7 +537,7 @@ def activity_classes_ref(M, order=None):
         for m in members:
             class_of[m] = A
         classes.append(tuple(members))
-    return ActivityClasses(M.n, classes, class_of)
+    return ClassesRef(M.n, classes, class_of)
 
 
 def _union_find(parent):

@@ -1,5 +1,6 @@
 import ast
 import gc
+import importlib.util
 import io
 import json
 import random
@@ -26,6 +27,7 @@ from omrev import (
     validate,
 )
 from omrev import core
+from omrev.catalog import _DEFS
 from omrev.core import _untiled_word
 from oracles import elements_of_ref, orthogonality_ref, tiling_ref
 
@@ -153,6 +155,21 @@ class TestMatrixBuild:
             build_from_matrix(rows, n=n)
 
 
+@st.composite
+def _multigraphs(draw):
+    """(vertex count, edges): at most 10 edges on up to 7 vertices, with
+    loops, parallel and antiparallel copies, isolated vertices and several
+    components, in a drawn edge order."""
+    vertices = draw(st.integers(1, 7))
+    vertex = st.integers(0, vertices - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=7))
+    if edges:
+        copy = st.tuples(st.sampled_from(edges), st.booleans())
+        copies = draw(st.lists(copy, max_size=10 - len(edges)))
+        edges += [(v, u) if flip else (u, v) for (u, v), flip in copies]
+    return vertices, draw(st.permutations(edges))
+
+
 class TestGraphBuild:
     def test_triangle_matches_matrix(self):
         G = build_from_graph([(0, 1), (1, 2), (0, 2)])
@@ -184,19 +201,108 @@ class TestGraphBuild:
             build_from_graph([(0, 1)] * 21)
 
     def test_large_vertex_ids_add_no_rows(self, monkeypatch):
-        # only endpoints of non-loop edges get incidence rows, so a vertex
-        # id of a million costs what a compact numbering costs
-        heights = []
+        # only endpoints of non-loop edges become search vertices and
+        # incidence rows, so a vertex id of a million costs what a compact
+        # numbering costs
+        inputs = []
 
-        def spy(matrix, real=core.build_from_matrix, **kwargs):
-            heights.append(len(matrix))
-            return real(matrix, **kwargs)
+        def spy_cycles(arcs, order, real=core._graph_cycles):
+            inputs.append(("search", (order, arcs)))
+            return real(arcs, order)
 
-        monkeypatch.setattr(core, "build_from_matrix", spy)
+        def spy_kernel(rows, ncols, real=core._kernel_basis):
+            inputs.append(("incidence rows", len(rows)))
+            return real(rows, ncols)
+
+        monkeypatch.setattr(core, "_graph_cycles", spy_cycles)
+        monkeypatch.setattr(core, "_kernel_basis", spy_kernel)
         M = build_from_graph([(0, 1), (1, 0), (0, 10**6)])
+        sparse, inputs[:] = inputs[:], []
         compact = build_from_graph([(0, 1), (1, 0), (0, 2)])
         assert M == compact and M.rank == compact.rank == 2
-        assert heights == [3, 3]
+        assert sparse == inputs
+        assert dict(inputs) == {"search": (3, [(0, 1), (1, 0), (0, 2)]), "incidence rows": 3}
+
+    @pytest.mark.parametrize("name", sorted(n for n, row in _DEFS.items() if "graph" in row[1]))
+    def test_catalog_graphs_match_the_scan(self, name):
+        body = _DEFS[name][1]["graph"]
+        _assert_matches_the_scan(body["edges"], body.get("vertices"))
+
+    @pytest.mark.parametrize("base", ["K4", "K5", "K3,3", "W5", "W6", "W7"])
+    def test_relabelled_graphs_match_the_scan(self, base):
+        body = _bench().instance_source(base, "matrix", 3)["source"]["graph"]
+        _assert_matches_the_scan(body["edges"], body["vertices"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_multigraphs())
+    def test_multigraphs_match_the_scan(self, graph):
+        vertices, edges = graph
+        _assert_matches_the_scan(edges, vertices)
+
+    @pytest.mark.parametrize("base", ["K6", "W8", "K4,4"])
+    def test_cycles_match_the_generator_at_n_15_and_16(self, base, monkeypatch):
+        # too many elements for the subset scan in a quick run: the circuit
+        # list handed to build_from_signed_sets is checked against the
+        # benchmark generator's own search, and its vertex-cut bonds stand in
+        # for the bond scan
+        bench = _bench()
+        vertices, edges = {
+            "K6": bench.complete(6),
+            "W8": bench.wheel(8),
+            "K4,4": bench.complete_bipartite(4, 4),
+        }[base]
+        edges = bench.Transform(len(edges), vertices, random.Random(base)).graph(edges)
+        cycles, bonds = bench.graph_signed(vertices, edges)
+        listed = []
+
+        def spy(circuits, cocircuits, real=core.build_from_signed_sets, **kwargs):
+            listed.extend(circuits)
+            return real(circuits, cocircuits, **kwargs)
+
+        monkeypatch.setattr(core, "_circuits_of_matrix", lambda rows, n: bonds)
+        monkeypatch.setattr(core, "build_from_signed_sets", spy)
+        M = build_from_graph(edges, vertices=vertices)
+        expected = _scan_order(_canonical(_mask(p), _mask(q)) for p, q in cycles)
+        assert [_canonical(p, q) for p, q in listed] == expected
+        assert len(M.circuit_data) == len(cycles)
+
+
+def _bench():
+    """bench/instances.py, loaded by path: it imports nothing from omrev."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("bench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _mask(elements):
+    return sum(1 << e for e in elements)
+
+
+def _canonical(pos, neg):
+    """(pos, neg) masks flipped so that the lowest support element is +."""
+    low = (pos | neg) & -(pos | neg)
+    return (pos, neg) if pos & low else (neg, pos)
+
+
+def _scan_order(pairs):
+    """Signed sets by size, then by sorted element list: the subset scan's order."""
+    return sorted(pairs, key=lambda t: (len(e := elements_of_ref(t[0] | t[1])), e))
+
+
+def _assert_matches_the_scan(edges, vertices):
+    """build_from_graph equals build_from_matrix on the graph's incidence
+    matrix, one row per vertex, stored lists in the same order."""
+    vertices = vertices or 1 + max((max(e) for e in edges), default=-1)
+    rows = [[0] * len(edges) for _ in range(vertices)]
+    for j, (u, v) in enumerate(edges):
+        if u != v:
+            rows[v][j] += 1
+            rows[u][j] -= 1
+    G = build_from_graph(edges, vertices=vertices)
+    M = build_from_matrix(rows, n=len(edges))
+    assert (G.rank, G.circuit_data, G.cocircuit_data) == (M.rank, M.circuit_data, M.cocircuit_data)
 
 
 @st.composite
