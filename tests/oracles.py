@@ -31,8 +31,11 @@ word and order checks and the class listing are its own.
 is_binary_ref tests every circuit/cocircuit support pair for an even
 intersection, in storage order; it pins the per-element parity bitsets in
 regularity.is_binary, verdict and witness, on any lists.
+uniform_lists_ref writes U(r, n)'s Vandermonde-oriented lists from the
+alternating formulas; it pins the chirotope-to-lists function at chi = +.
 """
 
+import itertools
 from array import array
 from fractions import Fraction
 from functools import lru_cache
@@ -62,6 +65,27 @@ def matrix_rank(rows, cols):
                 work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
         rank += 1
     return rank
+
+
+def uniform_lists_ref(r, n):
+    """(circuits, cocircuits) of U(r, n) under Vandermonde columns, as
+    (pos, neg) element tuples, from the alternating formulas.
+
+    Every r columns in increasing order have a positive determinant, so the
+    circuit on an (r+1)-set alternates in sign along the sorted set, and
+    the cocircuit of the hyperplane spanned by an (r-1)-set T gives each e
+    outside T the sign (-1)^|{t in T : t > e}|.  Both lists come in
+    itertools.combinations order.
+    """
+    circuits = [(S[0::2], S[1::2]) for S in itertools.combinations(range(n), r + 1)]
+    cocircuits = []
+    for T in itertools.combinations(range(n), r - 1) if r else ():
+        parts = ([], [])
+        for e in range(n):
+            if e not in T:
+                parts[sum(t > e for t in T) % 2].append(e)
+        cocircuits.append((tuple(parts[0]), tuple(parts[1])))
+    return circuits, cocircuits
 
 
 def tutte_coeffs_from_matrix(rows, n, rank=None):

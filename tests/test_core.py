@@ -29,7 +29,7 @@ from omrev import (
 from omrev import core
 from omrev.catalog import _DEFS
 from omrev.core import _untiled_word
-from oracles import elements_of_ref, orthogonality_ref, tiling_ref
+from oracles import elements_of_ref, orthogonality_ref, tiling_ref, uniform_lists_ref
 
 TRIANGLE = [[1, 0, 1], [0, 1, 1]]
 U24_MATRIX = [[1, 0, 1, 1], [0, 1, 1, 2]]
@@ -142,6 +142,37 @@ class TestMatrixBuild:
     def test_too_many_columns(self):
         with pytest.raises(ValueError):
             build_from_matrix([[1] * 21])
+
+    def test_rank_is_checked_against_the_row_basis(self, monkeypatch):
+        # lists of rank 1 handed back for a rank-2 matrix: they validate, so
+        # only the explicit rank check can reject them
+        real = core._signed_lists
+        monkeypatch.setattr(core, "_signed_lists", lambda chi, r, n: real(lambda B: 1, r - 1, n))
+        with pytest.raises(
+            InvalidOrientedMatroid, match="row basis has rank 2 but the circuits give rank 1"
+        ):
+            build_from_matrix(TRIANGLE)
+
+    def test_random_matrices_match_the_scan(self):
+        # seeded integer matrices of at most 7 columns with entries -2..2,
+        # some with a parallel column, a dependent row or a zero column
+        rng = random.Random(38)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+            if n > 1 and rng.random() < 0.5:
+                a, b = rng.sample(range(n), 2)
+                k = rng.choice((-2, -1, 1, 2))
+                for row in rows:
+                    row[b] = k * row[a]
+            if rng.random() < 0.3:
+                weights = [rng.randint(-2, 2) for _ in rows]
+                rows.append([sum(w * x for w, x in zip(weights, col)) for col in zip(*rows)])
+            if rng.random() < 0.3:
+                zero = rng.randrange(n)
+                for row in rows:
+                    row[zero] = 0
+            _assert_matrix_build_matches_the_subset_scan(rows)
 
     @pytest.mark.parametrize(
         "rows, n, message",
@@ -292,8 +323,9 @@ def _scan_order(pairs):
 
 
 def _assert_matches_the_scan(edges, vertices):
-    """build_from_graph equals build_from_matrix on the graph's incidence
-    matrix, one row per vertex, stored lists in the same order."""
+    """build_from_graph equals build_from_matrix, which reads the chirotope,
+    on the graph's incidence matrix, one row per vertex, stored lists in the
+    same order."""
     vertices = vertices or 1 + max((max(e) for e in edges), default=-1)
     rows = [[0] * len(edges) for _ in range(vertices)]
     for j, (u, v) in enumerate(edges):
@@ -303,6 +335,19 @@ def _assert_matches_the_scan(edges, vertices):
     G = build_from_graph(edges, vertices=vertices)
     M = build_from_matrix(rows, n=len(edges))
     assert (G.rank, G.circuit_data, G.cocircuit_data) == (M.rank, M.circuit_data, M.cocircuit_data)
+
+
+def _assert_matrix_build_matches_the_subset_scan(rows):
+    """build_from_matrix equals the lists that the column-subset scan,
+    core._circuits_of_matrix, finds on the rows and on core._kernel_basis."""
+    n = len(rows[0])
+    M = build_from_matrix(rows)
+    S = build_from_signed_sets(
+        core._circuits_of_matrix(rows, n),
+        core._circuits_of_matrix(core._kernel_basis(rows, n), n),
+        n=n,
+    )
+    assert (M.rank, M.circuit_data, M.cocircuit_data) == (S.rank, S.circuit_data, S.cocircuit_data)
 
 
 @st.composite
@@ -369,6 +414,7 @@ class TestOneBuilderExit:
         M = build_from_matrix(rows)
         assert "cube" in M._cache
         assert M.rank == matrix_rank(rows, list(range(M.n)))
+        _assert_matrix_build_matches_the_subset_scan(rows)
         r, coeffs = tutte_coeffs_from_matrix(rows, M.n)
         T = tutte_polynomial(M)
         assert T.rank == r
@@ -401,12 +447,26 @@ class TestUniformBuild:
             build_uniform(4, 3)
 
     def test_matches_vandermonde_matrix(self):
-        # the alternating lists against the subset scan of the same columns
-        for n in range(9):
+        # chi = + against the determinant signs of the same columns
+        sizes = [(r, n) for n in range(9) for r in range(n + 1)] + [(2, 16), (3, 16), (4, 16)]
+        for r, n in sizes:
+            M = build_uniform(r, n)
+            V = build_from_matrix([[(t + 1) ** p for t in range(n)] for p in range(r)], n=n)
+            assert (M.circuit_data, M.cocircuit_data, M.rank) == (
+                V.circuit_data,
+                V.cocircuit_data,
+                r,
+            ), (r, n)
+
+    def test_lists_match_the_alternating_formulas(self):
+        for n in range(11):
             for r in range(n + 1):
-                M = build_uniform(r, n)
-                V = build_from_matrix([[(t + 1) ** p for t in range(n)] for p in range(r)], n=n)
-                assert (M.circuits, M.cocircuits, M.rank) == (V.circuits, V.cocircuits, r), (r, n)
+                lists = core._signed_lists(lambda B: 1, r, n)
+                expected = uniform_lists_ref(r, n)
+                for got, want in zip(lists, expected):
+                    assert list(map(core._signed_triple, got)) == list(
+                        map(core._signed_triple, want)
+                    ), (r, n)
 
 
 class TestSignedSetBuild:
